@@ -215,6 +215,8 @@ func main() {
 	fmt.Printf("\nsearch stopped: %s after %v (%d iterations, %d transformations, %d duplicates filtered)\n",
 		res.Stopped, time.Since(start).Round(time.Millisecond),
 		res.Stats.Iterations, res.Stats.Trans, res.Stats.Filtered)
+	fmt.Printf("scheduling: %d schedules, %d ops rescheduled, %d incremental splice fallback(s)\n",
+		res.Stats.Sched, res.Stats.Rescheduled, res.Stats.SchedFallbacks)
 	if n := res.Diagnostics.Panics(); n > 0 {
 		fmt.Printf("contained: %d rule panic(s); quarantined rules: %s\n",
 			n, strings.Join(res.Diagnostics.Quarantined(), ", "))

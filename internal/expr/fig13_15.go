@@ -96,9 +96,12 @@ func RenderFig13(curves []Fig13Curve) string {
 	return FormatTable("Fig 13: heuristic ablation (BERT)", cols, rows)
 }
 
-// Fig15Breakdown is the optimization-time cost breakdown of Fig. 15.
+// Fig15Breakdown is the optimization-time cost breakdown of Fig. 15. The
+// phase shares are of worker time: Total × Workers, since the phase
+// timers sum the busy time of every search worker.
 type Fig15Breakdown struct {
 	Total                           time.Duration
+	Workers                         int
 	Stats                           opt.Stats
 	TransPct, SchedPct, SimulPct    float64
 	HashPct                         float64
@@ -125,13 +128,15 @@ func Fig15(cfg Config, w *models.Workload) Fig15Breakdown {
 		StrictHash:   cfg.StrictHash,
 	})
 	total := time.Since(start)
-	out := Fig15Breakdown{Total: total}
+	workers := opt.ResolveWorkers(cfg.Workers)
+	out := Fig15Breakdown{Total: total, Workers: workers}
 	if err != nil {
 		return out
 	}
 	s := res.Stats
 	out.Stats = s
-	pct := func(d time.Duration) float64 { return 100 * float64(d) / float64(total) }
+	capacity := float64(total) * float64(workers)
+	pct := func(d time.Duration) float64 { return 100 * float64(d) / capacity }
 	out.TransPct = pct(s.TransTime)
 	out.SchedPct = pct(s.SchedTime)
 	out.SimulPct = pct(s.SimulTime)
@@ -151,11 +156,13 @@ func Fig15(cfg Config, w *models.Workload) Fig15Breakdown {
 func RenderFig15(b Fig15Breakdown) string {
 	var sb strings.Builder
 	sb.WriteString("== Fig 15: optimization time breakdown (ViT) ==\n")
-	fmt.Fprintf(&sb, "total %v over %d iterations\n", b.Total.Round(time.Millisecond), b.Iterations)
+	fmt.Fprintf(&sb, "total %v over %d iterations, %d worker(s); shares are of worker time\n",
+		b.Total.Round(time.Millisecond), b.Iterations, b.Workers)
 	fmt.Fprintf(&sb, "%-10s count=%6d  time=%8v (%4.1f%%)\n", "Trans.", b.Transformations, b.Stats.TransTime.Round(time.Millisecond), b.TransPct)
 	fmt.Fprintf(&sb, "%-10s count=%6d  time=%8v (%4.1f%%)\n", "Sched.", b.Schedules, b.Stats.SchedTime.Round(time.Millisecond), b.SchedPct)
 	fmt.Fprintf(&sb, "%-10s count=%6d  time=%8v (%4.1f%%)\n", "Simul.", b.Simulations, b.Stats.SimulTime.Round(time.Millisecond), b.SimulPct)
 	fmt.Fprintf(&sb, "%-10s count=%6d  time=%8v (%4.1f%%)\n", "Hash", b.HashOps, b.Stats.HashTime.Round(time.Millisecond), b.HashPct)
 	fmt.Fprintf(&sb, "%-10s count=%6d (%.0f%% of generated states)\n", "Filtered", b.Stats.Filtered, 100*b.FilteredShare)
+	fmt.Fprintf(&sb, "%-10s count=%6d (incremental splices rescheduled in full)\n", "Fallbacks", b.Stats.SchedFallbacks)
 	return sb.String()
 }

@@ -97,6 +97,19 @@ func (t *Tree) Clone() *Tree {
 	return c
 }
 
+// ReleaseCache drops the dominator cache that warm-starts BuildFrom. The
+// tree itself is unchanged; a BuildFrom from it afterwards solves every
+// component cold and returns the same tree. Clones keep their own handle
+// on the cache.
+func (t *Tree) ReleaseCache() {
+	if t != nil {
+		t.domCache = nil
+	}
+}
+
+// HasCache reports whether the tree still holds a dominator cache.
+func (t *Tree) HasCache() bool { return t != nil && t.domCache != nil }
+
 // Walk visits every node depth-first.
 func (t *Tree) Walk(f func(*Node)) {
 	var rec func(*Node)

@@ -32,6 +32,7 @@ type ckSummary struct {
 	filtered   int
 	sched      int
 	simul      int
+	fallbacks  int
 	stopped    StopReason
 	history    [][2]uint64 // (peak, latency bits) sequence
 }
@@ -46,6 +47,7 @@ func fingerprint(res *Result) ckSummary {
 		filtered:   res.Stats.Filtered,
 		sched:      res.Stats.Sched,
 		simul:      res.Stats.Simul,
+		fallbacks:  res.Stats.SchedFallbacks,
 		stopped:    res.Stopped,
 	}
 	for _, h := range res.History {
@@ -103,7 +105,8 @@ func TestCheckpointKillResumeDeterminism(t *testing.T) {
 					got.peakMem, got.latBits, want.peakMem, want.latBits)
 			}
 			if got.iterations != want.iterations || got.trans != want.trans ||
-				got.filtered != want.filtered || got.sched != want.sched || got.simul != want.simul {
+				got.filtered != want.filtered || got.sched != want.sched || got.simul != want.simul ||
+				got.fallbacks != want.fallbacks {
 				t.Errorf("stats: resumed %+v, straight %+v", got, want)
 			}
 			if got.stopped != want.stopped {
@@ -254,5 +257,65 @@ func TestCheckpointRejectsCorruption(t *testing.T) {
 
 	if _, err := Resume(context.Background(), filepath.Join(dir, "absent.ckpt"), model(), nil); err == nil {
 		t.Error("missing file resumed without error")
+	}
+}
+
+// TestCheckpointWithoutSchedFallbacksResumes keeps checkpoints written
+// before Stats.SchedFallbacks existed readable: a snapshot whose stats
+// lack the field resumes to the same plan as one that has it.
+func TestCheckpointWithoutSchedFallbacksResumes(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "search.ckpt")
+	if _, err := Optimize(fatMLP(), model(), checkpointOptions(1, 6, path)); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := openSnapshot(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap map[string]json.RawMessage
+	if err := json.Unmarshal(payload, &snap); err != nil {
+		t.Fatal(err)
+	}
+	var stats map[string]json.RawMessage
+	if err := json.Unmarshal(snap["stats"], &stats); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := stats["SchedFallbacks"]; !ok {
+		t.Fatalf("snapshot stats lack SchedFallbacks: %s", snap["stats"])
+	}
+	delete(stats, "SchedFallbacks")
+	if snap["stats"], err = json.Marshal(stats); err != nil {
+		t.Fatal(err)
+	}
+	if payload, err = json.Marshal(snap); err != nil {
+		t.Fatal(err)
+	}
+	old, err := sealSnapshot(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oldPath := filepath.Join(dir, "old.ckpt")
+	if err := os.WriteFile(oldPath, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	extend := func(o *Options) { o.MaxIterations = 12 }
+	want, err := Resume(context.Background(), path, model(), extend)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Resume(context.Background(), oldPath, model(), extend)
+	if err != nil {
+		t.Fatalf("checkpoint without SchedFallbacks: %v", err)
+	}
+	g, w := fingerprint(got), fingerprint(want)
+	if g.bestHash != w.bestHash || g.peakMem != w.peakMem || g.latBits != w.latBits ||
+		g.iterations != w.iterations {
+		t.Errorf("resumed plans differ: %+v vs %+v", g, w)
 	}
 }

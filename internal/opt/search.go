@@ -111,6 +111,15 @@ type Options struct {
 	OnExpansion func(completed int)
 }
 
+// ResolveWorkers returns the number of workers a search with
+// Options.Workers = n runs: runtime.GOMAXPROCS(0) for 0, and at least 1.
+func ResolveWorkers(n int) int {
+	if n == 0 {
+		n = runtime.GOMAXPROCS(0)
+	}
+	return max(n, 1)
+}
+
 func (o *Options) defaults() {
 	if o.MaxLevel == 0 {
 		o.MaxLevel = 4
@@ -121,12 +130,7 @@ func (o *Options) defaults() {
 	if o.MaxSites == 0 {
 		o.MaxSites = 8
 	}
-	if o.Workers == 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
-	}
-	if o.Workers < 1 {
-		o.Workers = 1
-	}
+	o.Workers = ResolveWorkers(o.Workers)
 	if o.TimeBudget == 0 {
 		o.TimeBudget = 3 * time.Second
 	}
@@ -460,6 +464,13 @@ func (l *searchLoop) elapsed() time.Duration { return l.prior + time.Since(l.sta
 func (l *searchLoop) run(ctx context.Context) {
 	o, res, pool := l.o, l.res, l.pool
 	ev := pool.primary()
+	// Nothing reads the best state's dominator cache once the search
+	// returns, and it is most of what a kept Result holds on to.
+	defer func() {
+		if res.Best != nil {
+			res.Best.FT.ReleaseCache()
+		}
+	}()
 	if ctx == nil {
 		ctx = context.Background()
 	}

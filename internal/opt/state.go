@@ -54,14 +54,18 @@ func (s *State) Summary() string {
 }
 
 // Stats aggregates the optimization-time breakdown reported in Fig. 15.
-// With Workers > 1 the wall-clock breakdown timers sum the per-worker
-// busy times, so they can exceed elapsed time.
+// The phase timers are worker time: with Workers > 1 they sum the busy
+// times of all workers, so their shares are taken of elapsed time ×
+// Workers, not of elapsed time.
 type Stats struct {
 	Trans, Sched, Simul, Hash, Filtered int
 	TransTime, SchedTime, SimulTime     time.Duration
 	HashTime                            time.Duration
 	Iterations                          int
 	Rescheduled                         int // total ops rescheduled incrementally
+	// SchedFallbacks counts incremental reschedules that fell back to a
+	// full ScheduleGraph (see sched.Scheduler.Fallbacks).
+	SchedFallbacks int
 }
 
 // add accumulates o into s, merging a worker's shard after a parallel
@@ -78,6 +82,7 @@ func (s *Stats) add(o *Stats) {
 	s.HashTime += o.HashTime
 	s.Iterations += o.Iterations
 	s.Rescheduled += o.Rescheduled
+	s.SchedFallbacks += o.SchedFallbacks
 }
 
 // reachCache lazily builds one read-only reachability index over a parent
@@ -182,8 +187,10 @@ func (e *evaluator) evaluate(s *State, prev *State, oldMutated []graph.NodeID) e
 			reach = e.rc.index()
 		}
 		var n int
+		f := e.sc.Fallbacks
 		s.Sched, n = e.sc.IncrementalR(prev.EvalG, eg, oldMutated, prev.Sched, reach)
 		e.stats.Rescheduled += n
+		e.stats.SchedFallbacks += e.sc.Fallbacks - f
 	}
 	e.stats.Sched++
 	e.stats.SchedTime += time.Since(t0)

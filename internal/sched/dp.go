@@ -19,6 +19,11 @@ type Scheduler struct {
 	// BeamWidth is the beam width for medium sub-problems.
 	BeamWidth int
 
+	// Fallbacks counts IncrementalR calls that gave up on the splice and
+	// rescheduled the whole graph: a panic while splicing, no mutation
+	// site in the old schedule, or a spliced order that fails validation.
+	Fallbacks int
+
 	// scratch is reused across scheduling calls; a Scheduler is therefore
 	// not safe for concurrent use (the search gives each worker its own).
 	scratch Scratch
@@ -30,7 +35,7 @@ type Scheduler struct {
 	topo  graph.TopoScratch
 	slots []beamEntry
 	cands []beamCand
-	blist []*beamEntry
+	kids  []int32
 }
 
 func (sc *Scheduler) maxExact() int {
@@ -289,19 +294,17 @@ func (sc *Scheduler) exact(g *graph.Graph) Schedule {
 
 // beamEntry is one scheduled-prefix state, living in a persistent slot.
 type beamEntry struct {
-	mask  []uint64
 	rem   []int32 // unscheduled distinct-consumer count per node
 	ready []int32 // unscheduled predecessor count per node
+	front []int32 // ready, unscheduled nodes: the entry's candidates
 	order []int32
 	alive int64
 	peak  int64
 }
 
-func (b *beamEntry) has(v int) bool { return b.mask[v/64]&(1<<(v%64)) != 0 }
-
 // freedIf returns bytes released when v executes on top of e: v's
 // predecessors for which v is the last unscheduled consumer.
-func (e *beamEntry) freedIf(p *problem, v int) int64 {
+func (e *beamEntry) freedIf(p *problem, v int32) int64 {
 	var freed int64
 	for _, u := range p.preds[v] {
 		if p.hasCons[u] && e.rem[u] == 1 {
@@ -311,35 +314,31 @@ func (e *beamEntry) freedIf(p *problem, v int) int64 {
 	return freed
 }
 
+// beamCand extends the beam entry ranked from with node v. It holds no
+// pointers, so the candidate buffer costs the garbage collector nothing.
 type beamCand struct {
-	from  *beamEntry
-	v     int
+	from  int32 // parent's rank in the current beam
+	v     int32
 	peak  int64
 	delta int64 // net alive change; lower is better
-}
-
-type beamCands []beamCand
-
-func (c beamCands) Len() int      { return len(c) }
-func (c beamCands) Swap(i, j int) { c[i], c[j] = c[j], c[i] }
-func (c beamCands) Less(i, j int) bool {
-	if c[i].peak != c[j].peak {
-		return c[i].peak < c[j].peak
-	}
-	if c[i].delta != c[j].delta {
-		return c[i].delta < c[j].delta
-	}
-	return c[i].v < c[j].v
 }
 
 // beam runs width-w beam search over the DP state space; w = 1 is the
 // greedy list scheduler used for very large partitions. Beam states live
 // in 2w persistent slots (parents in one half, children built in the
 // other), so a whole run performs no per-step allocation.
+//
+// A step costs expected O(w·(F + d)) for frontier size F and degree d,
+// plus one O(n) copy per parent that keeps more than one child. Each
+// entry keeps its ready frontier sorted by node index, so candidates come
+// out in the order a scan of all n nodes would give. selectTop then keeps
+// the w best exactly as a full sort.Sort of them would, ties between
+// parents included, so the schedules are those of the full scan and sort.
+// A parent's last kept child takes over the parent's buffers instead of
+// copying them.
 func (sc *Scheduler) beam(g *graph.Graph, w int) Schedule {
 	p := sc.problemFor(g)
 	n := len(p.ids)
-	words := (n + 63) / 64
 	if cap(sc.slots) < 2*w {
 		sc.slots = make([]beamEntry, 2*w)
 	} else {
@@ -347,83 +346,114 @@ func (sc *Scheduler) beam(g *graph.Graph, w int) Schedule {
 	}
 	for i := range sc.slots {
 		e := &sc.slots[i]
-		e.mask = ensureU64(e.mask, words)
 		e.rem = ensureI32(e.rem, n)
 		e.ready = ensureI32(e.ready, n)
-		if cap(e.order) < n {
-			e.order = make([]int32, 0, n)
-		} else {
-			e.order = e.order[:0]
-		}
+		e.front = ensureI32(e.front, n)[:0]
+		e.order = ensureI32(e.order, n)[:0]
 	}
 	start := &sc.slots[0]
-	for i := 0; i < words; i++ {
-		start.mask[i] = 0
-	}
 	for v := 0; v < n; v++ {
 		start.rem[v] = int32(len(p.sucs[v]))
 		start.ready[v] = int32(len(p.preds[v]))
+		if start.ready[v] == 0 {
+			start.front = append(start.front, int32(v))
+		}
 	}
 	start.alive, start.peak = 0, 0
-	start.order = start.order[:0]
 
-	beam := append(sc.blist[:0], start)
 	cands := sc.cands[:0]
+	// kids[i] counts the kept children of parent i not yet built.
+	kids := ensureI32(sc.kids, w)
+	sc.kids = kids
+	beam := sc.slots[:1]
 	half := 0
 	for step := 0; step < n; step++ {
 		cands = cands[:0]
-		for _, e := range beam {
-			for v := 0; v < n; v++ {
-				if e.has(v) || e.ready[v] != 0 {
-					continue
-				}
+		for i := range beam {
+			e := &beam[i]
+			for _, v := range e.front {
 				peak := e.peak
 				if m := e.alive + p.size[v] + p.trans[v]; m > peak {
 					peak = m
 				}
-				cands = append(cands, beamCand{e, v, peak, p.size[v] - e.freedIf(p, v)})
+				cands = append(cands, beamCand{int32(i), v, peak, p.size[v] - e.freedIf(p, v)})
 			}
 		}
-		sort.Sort(beamCands(cands))
-		if len(cands) > w {
-			cands = cands[:w]
+		selectTop(cands, w)
+		top := cands[:min(w, len(cands))]
+		for i := range beam {
+			kids[i] = 0
+		}
+		for k := range top {
+			kids[top[k].from]++
 		}
 		half = 1 - half
-		next := sc.slots[half*w : half*w+len(cands)]
-		beam = beam[:0]
-		for k := range cands {
-			c := &cands[k]
-			e, ne := c.from, &next[k]
-			copy(ne.mask, e.mask)
-			copy(ne.rem, e.rem)
-			copy(ne.ready, e.ready)
-			ne.order = append(ne.order[:0], e.order...)
-			ne.order = append(ne.order, int32(c.v))
+		next := sc.slots[half*w : half*w+len(top)]
+		for k := range top {
+			c := &top[k]
+			e, ne := &beam[c.from], &next[k]
+			if kids[c.from]--; kids[c.from] == 0 {
+				// The parent's last child: take its buffers over (the
+				// child slot's stale ones go to the parent slot).
+				ne.rem, e.rem = e.rem, ne.rem
+				ne.ready, e.ready = e.ready, ne.ready
+				ne.order, e.order = e.order, ne.order
+				ne.front, e.front = e.front, ne.front
+			} else {
+				copy(ne.rem, e.rem)
+				copy(ne.ready, e.ready)
+				ne.order = append(ne.order[:0], e.order...)
+				ne.front = append(ne.front[:0], e.front...)
+			}
+			ne.front = removeI32(ne.front, c.v)
+			ne.order = append(ne.order, c.v)
 			ne.alive = e.alive + c.delta
 			ne.peak = c.peak
-			ne.mask[c.v/64] |= 1 << (c.v % 64)
 			for _, u := range p.preds[c.v] {
 				ne.rem[u]--
 			}
 			for _, s := range p.sucs[c.v] {
-				ne.ready[s]--
+				if ne.ready[s]--; ne.ready[s] == 0 {
+					ne.front = insertSorted(ne.front, s)
+				}
 			}
-			beam = append(beam, ne)
 		}
+		beam = next
 	}
 	sc.cands = cands[:0]
-	best := beam[0]
-	for _, e := range beam[1:] {
-		if e.peak < best.peak {
-			best = e
+	best := &beam[0]
+	for i := 1; i < len(beam); i++ {
+		if beam[i].peak < best.peak {
+			best = &beam[i]
 		}
 	}
 	order := make(Schedule, n)
 	for i, v := range best.order {
 		order[i] = p.ids[v]
 	}
-	sc.blist = beam[:0]
 	return order
+}
+
+// removeI32 deletes the first occurrence of v from s, keeping order.
+func removeI32(s []int32, v int32) []int32 {
+	for i, u := range s {
+		if u == v {
+			return append(s[:i], s[i+1:]...)
+		}
+	}
+	return s
+}
+
+// insertSorted inserts v into the ascending slice s; s must have spare
+// capacity.
+func insertSorted(s []int32, v int32) []int32 {
+	i := len(s)
+	s = s[:i+1]
+	for ; i > 0 && s[i-1] > v; i-- {
+		s[i] = s[i-1]
+	}
+	s[i] = v
+	return s
 }
 
 func popcount64(x uint64) int {

@@ -16,7 +16,7 @@ import "magis/internal/graph"
 //
 // It returns the new schedule and the number of rescheduled operators.
 // When the splice cannot produce a valid order, it falls back to full
-// scheduling of gNew.
+// scheduling of gNew and counts the fallback in sc.Fallbacks.
 func (sc *Scheduler) Incremental(gOld, gNew *graph.Graph, oldMutated []graph.NodeID, psiOld Schedule) (Schedule, int) {
 	return sc.IncrementalR(gOld, gNew, oldMutated, psiOld, nil)
 }
@@ -39,6 +39,7 @@ const clusterGap = 48
 func (sc *Scheduler) IncrementalR(gOld, gNew *graph.Graph, oldMutated []graph.NodeID, psiOld Schedule, reach *graph.ReachIndex) (psi Schedule, n int) {
 	defer func() {
 		if r := recover(); r != nil {
+			sc.Fallbacks++
 			full := sc.ScheduleGraph(gNew)
 			psi, n = full, len(full)
 		}
@@ -51,6 +52,7 @@ func (sc *Scheduler) IncrementalR(gOld, gNew *graph.Graph, oldMutated []graph.No
 		}
 	}
 	if len(sites) == 0 {
+		sc.Fallbacks++
 		full := sc.ScheduleGraph(gNew)
 		return full, len(full)
 	}
@@ -167,6 +169,7 @@ func (sc *Scheduler) IncrementalR(gOld, gNew *graph.Graph, oldMutated []graph.No
 		}
 	}
 	if err := out.Validate(gNew); err != nil {
+		sc.Fallbacks++
 		full := sc.ScheduleGraph(gNew)
 		return full, len(full)
 	}

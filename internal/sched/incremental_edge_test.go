@@ -60,6 +60,9 @@ func TestIncrementalMutationAtScheduleStart(t *testing.T) {
 	if n >= gNew.Len() {
 		t.Errorf("head mutation degenerated to a full reschedule (%d of %d)", n, gNew.Len())
 	}
+	if sc.Fallbacks != 0 {
+		t.Errorf("Fallbacks = %d after a successful splice, want 0", sc.Fallbacks)
+	}
 }
 
 // TestIncrementalMutationAtScheduleEnd mutates the node at the last

@@ -276,6 +276,9 @@ func TestIncrementalFallbackOnEmptyMutation(t *testing.T) {
 	if n != g.Len() {
 		t.Errorf("empty mutation should fully reschedule, got %d", n)
 	}
+	if sc.Fallbacks != 1 {
+		t.Errorf("Fallbacks = %d after one full-reschedule fallback, want 1", sc.Fallbacks)
+	}
 }
 
 func TestPeakOnlyMatchesSimulate(t *testing.T) {
