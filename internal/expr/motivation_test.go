@@ -2,7 +2,6 @@ package expr
 
 import (
 	"testing"
-	"time"
 
 	"magis/internal/models"
 	"magis/internal/opt"
@@ -21,16 +20,20 @@ func TestMotivationFigure2(t *testing.T) {
 	base := opt.Baseline(g, m)
 
 	limit := int64(float64(base.PeakMem) * 0.35)
-	budget := 2 * time.Second
+	// Fixed work, so the outcome does not depend on machine speed. On its
+	// way down the full search's best passes through plans of about 2.9 MB
+	// that the scheduling-only result dominates; it reaches its final
+	// 2.6 MB / 1.06 ms plan by iteration 300.
+	const iters = 320
 
 	full, err := opt.Optimize(g, m, opt.Options{
-		Mode: opt.LatencyUnderMemory, MemLimit: limit, TimeBudget: budget,
+		Mode: opt.LatencyUnderMemory, MemLimit: limit, MaxIterations: iters, TimeBudget: -1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	schedOnly, err := opt.Optimize(g, m, opt.Options{
-		Mode: opt.LatencyUnderMemory, MemLimit: limit, TimeBudget: budget,
+		Mode: opt.LatencyUnderMemory, MemLimit: limit, MaxIterations: iters, TimeBudget: -1,
 		DisableFission: true,
 	})
 	if err != nil {

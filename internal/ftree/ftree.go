@@ -188,7 +188,12 @@ func Build(g *graph.Graph, hot graph.Set, opt Options) *Tree {
 func BuildFrom(g *graph.Graph, hot graph.Set, opt Options, prev *Tree) *Tree {
 	L := opt.maxLevel()
 	d := dgraph.Build(g)
-	var cands []*Node
+	// cand is a tree node with the dominator it was built from.
+	type cand struct {
+		*Node
+		dom graph.NodeID
+	}
+	var cands []cand
 	domCache := make(map[graph.NodeID]domEntry)
 	for _, comp := range d.Components() {
 		compNodes := graph.NewSet(comp.GraphNodes()...)
@@ -263,7 +268,7 @@ func BuildFrom(g *graph.Graph, hot graph.Set, opt Options, prev *Tree) *Tree {
 					notInnermost[p] = true
 				}
 			}
-			for vdom := range bucket {
+			for _, vdom := range bucket.Slice() {
 				if notInnermost[vdom] {
 					continue
 				}
@@ -278,15 +283,19 @@ func BuildFrom(g *graph.Graph, hot graph.Set, opt Options, prev *Tree) *Tree {
 				if tr.MaxParts(g) < 2 {
 					continue
 				}
-				cands = append(cands, &Node{T: tr, N: 1, Score: scores[vdom], Level: i})
+				cands = append(cands, cand{&Node{T: tr, N: 1, Score: scores[vdom], Level: i}, vdom})
 			}
 		}
 	}
+	// A total order: each dominator yields at most one candidate.
 	sort.Slice(cands, func(i, j int) bool {
 		if len(cands[i].T.S) != len(cands[j].T.S) {
 			return len(cands[i].T.S) > len(cands[j].T.S)
 		}
-		return cands[i].Score > cands[j].Score
+		if cands[i].Score != cands[j].Score {
+			return cands[i].Score > cands[j].Score
+		}
+		return cands[i].dom < cands[j].dom
 	})
 	if opt.MaxCandidates > 0 && len(cands) > opt.MaxCandidates {
 		cands = cands[:opt.MaxCandidates]
@@ -297,7 +306,8 @@ func BuildFrom(g *graph.Graph, hot graph.Set, opt Options, prev *Tree) *Tree {
 	// two interleaved regions would make collapsed evaluation cyclic).
 	t := &Tree{domCache: domCache}
 	var kept []*Node
-	for _, c := range cands {
+	for _, cd := range cands {
+		c := cd.Node
 		laminar := true
 		for _, k := range kept {
 			if partiallyOverlaps(c.T.S, k.T.S) {

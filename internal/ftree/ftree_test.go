@@ -1,9 +1,12 @@
 package ftree
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"magis/internal/graph"
+	"magis/internal/models"
 	"magis/internal/ops"
 	"magis/internal/sched"
 	"magis/internal/tensor"
@@ -203,4 +206,33 @@ func TestNaiveFissionOption(t *testing.T) {
 			t.Error("invalid naive candidate")
 		}
 	})
+}
+
+// TestBuildDeterministic builds the F-Tree of a random NASNet graph, whose
+// candidates tie on size and score, many times: the tree must come out the
+// same every time, down to each candidate's node set and position.
+func TestBuildDeterministic(t *testing.T) {
+	g := models.RandomNASNet(1, 24, 32, 64, 16).G
+	sc := &sched.Scheduler{}
+	hot := sched.Simulate(g, sc.ScheduleGraph(g)).Hotspots
+	shape := func(tr *Tree) string {
+		var b strings.Builder
+		var rec func(n *Node, depth int)
+		rec = func(n *Node, depth int) {
+			fmt.Fprintf(&b, "%d %v %d %g\n", depth, n.T.S.Slice(), n.Level, n.Score)
+			for _, c := range n.Children {
+				rec(c, depth+1)
+			}
+		}
+		for _, r := range tr.Roots {
+			rec(r, 0)
+		}
+		return b.String()
+	}
+	want := shape(Build(g, hot, Options{}))
+	for i := 0; i < 20; i++ {
+		if got := shape(Build(g, hot, Options{})); got != want {
+			t.Fatalf("build %d differs from the first:\n%s\nfirst:\n%s", i+1, got, want)
+		}
+	}
 }

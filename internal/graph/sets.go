@@ -356,8 +356,13 @@ func (r *ReachIndex) NW(v NodeID) int {
 	if v < 0 || int(v) >= len(r.pos) || r.pos[v] < 0 {
 		return -1
 	}
-	return r.n - int(r.nAnc[v]) - int(r.nDes[v]) - 1
+	return NarrowWaist(r.n, int(r.nAnc[v]), int(r.nDes[v]))
 }
+
+// NarrowWaist is the narrow-waist value (§6.1) of a node with nAnc
+// ancestors and nDes descendants among n nodes: the number of nodes
+// neither its ancestor nor its descendant, minus one.
+func NarrowWaist(n, nAnc, nDes int) int { return n - nAnc - nDes - 1 }
 
 // NumAnc returns |G.anc(v)|.
 func (r *ReachIndex) NumAnc(v NodeID) int { return int(r.nAnc[v]) }

@@ -2,8 +2,8 @@ package opt
 
 import (
 	"context"
+	"sync"
 	"testing"
-	"time"
 
 	"magis/internal/ftree"
 )
@@ -139,20 +139,73 @@ func TestParallelStatsConsistent(t *testing.T) {
 	}
 }
 
-// TestParallelCancellation: a deadline mid-search still returns the best
-// state found so far with the pool drained cleanly.
+// tripCtx is a context whose deadline passes on a count of Err calls
+// instead of on the clock. Once armed it answers nil to the next pass
+// calls, then reports context.DeadlineExceeded from every call on.
+type tripCtx struct {
+	context.Context
+	mu    sync.Mutex
+	armed bool
+	pass  int
+	err   error
+	done  chan struct{}
+}
+
+func newTripCtx(pass int) *tripCtx {
+	return &tripCtx{Context: context.Background(), pass: pass, done: make(chan struct{})}
+}
+
+func (c *tripCtx) arm() {
+	c.mu.Lock()
+	c.armed = true
+	c.mu.Unlock()
+}
+
+func (c *tripCtx) Done() <-chan struct{} { return c.done }
+
+func (c *tripCtx) Err() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.err == nil && c.armed {
+		if c.pass == 0 {
+			c.err = context.DeadlineExceeded
+			close(c.done)
+		}
+		c.pass--
+	}
+	return c.err
+}
+
+// TestParallelCancellation: a deadline in the middle of a parallel
+// expansion still returns the best state found so far with the pool
+// drained cleanly. The deadline is armed after the first expansion and
+// lets through the second expansion's boundary check plus the first four
+// candidate pick-ups, one per worker, so it passes inside the fan-out
+// while those four candidates are being evaluated, on any host.
 func TestParallelCancellation(t *testing.T) {
 	g := fatMLP()
-	ctx, cancel := context.WithTimeout(context.Background(), 150*time.Millisecond)
-	defer cancel()
+	ctx := newTripCtx(1 + 4)
 	o := deterministicOptions(4)
 	o.MaxIterations = 10000
+	last := 0
+	o.OnExpansion = func(completed int) {
+		last = completed
+		if completed == 1 {
+			ctx.arm()
+		}
+	}
 	res, err := OptimizeCtx(ctx, g, model(), o)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Stopped != StopDeadline {
 		t.Errorf("stopped %v, want deadline", res.Stopped)
+	}
+	// The second expansion started but never completed: the search left
+	// through the fan-out's cancelled outcomes, not a boundary check.
+	if res.Stats.Iterations != 2 || last != 1 {
+		t.Errorf("stopped after %d started and %d completed expansions, want 2 and 1",
+			res.Stats.Iterations, last)
 	}
 	if res.Best == nil || res.Best.Sched == nil {
 		t.Fatal("no best state returned on cancellation")

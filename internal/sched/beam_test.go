@@ -38,8 +38,7 @@ func (c refCands) Less(i, j int) bool {
 // differential reference for Scheduler.beam, which must match it exactly,
 // ties included.
 func refBeam(g *graph.Graph, w int) Schedule {
-	var sc Scheduler
-	p := sc.problemFor(g)
+	p := refProblem(g)
 	n := len(p.ids)
 	type entry struct {
 		done              []bool
@@ -154,13 +153,19 @@ func TestSelectTopMatchesSortSort(t *testing.T) {
 
 var beamWidths = []int{1, 2, 8}
 
-// checkBeam compares sc.beam with refBeam on g at every width in
-// beamWidths.
-func checkBeam(t *testing.T, sc *Scheduler, name string, g *graph.Graph) {
+// checkBeam compares sc.beam on the sub-problem seg of g, built in place,
+// with refBeam on the segment extracted as a standalone graph, at every
+// width in beamWidths.
+func checkBeam(t *testing.T, sc *Scheduler, name string, g *graph.Graph, seg []graph.NodeID) {
 	t.Helper()
+	sub := g.Subgraph(graph.NewSet(seg...))
 	for _, w := range beamWidths {
-		want := refBeam(g, w)
-		got := sc.beam(g, w)
+		want := refBeam(sub, w)
+		p := sc.problemOn(g, seg)
+		var got Schedule
+		for _, v := range sc.beam(p, w) {
+			got = append(got, p.ids[v])
+		}
 		if len(got) != len(want) {
 			t.Fatalf("%s w=%d: %d ops, reference %d", name, w, len(got), len(want))
 		}
@@ -183,7 +188,7 @@ func TestBeamMatchesFullSortReference(t *testing.T) {
 	for seed := int64(0); seed < 100; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		g := randomDAG(r, 2+r.Intn(120))
-		checkBeam(t, sc, fmt.Sprintf("seed %d", seed), g)
+		checkBeam(t, sc, fmt.Sprintf("seed %d", seed), g, g.NodeIDs())
 	}
 }
 
@@ -196,8 +201,8 @@ func TestBeamMatchesReferenceOnModels(t *testing.T) {
 	sc := &Scheduler{}
 	for _, w := range ws {
 		g := w.G
-		for _, seg := range GraphPartition(g, graph.NewSet(g.NodeIDs()...)) {
-			checkBeam(t, sc, w.Name, g.Subgraph(seg))
+		for _, seg := range sc.segments(g, g.NodeIDs()) {
+			checkBeam(t, sc, w.Name, g, seg)
 		}
 	}
 }

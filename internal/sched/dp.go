@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"math/bits"
 	"sort"
 
 	"magis/internal/graph"
@@ -24,18 +25,21 @@ type Scheduler struct {
 	// site in the old schedule, or a spliced order that fails validation.
 	Fallbacks int
 
-	// scratch is reused across scheduling calls; a Scheduler is therefore
-	// not safe for concurrent use (the search gives each worker its own).
-	scratch Scratch
-
-	// Reused work storage. The beam scheduler prices every fission region
-	// of every search candidate, so its per-step state lives in slots that
-	// persist across calls instead of per-entry allocations.
-	pb    problem
-	topo  graph.TopoScratch
-	slots []beamEntry
-	cands []beamCand
-	kids  []int32
+	// Reused work storage; a Scheduler is therefore not safe for
+	// concurrent use (the search gives each worker its own). The search
+	// partitions and schedules sub-problems of every candidate, and prices
+	// every fission region, so the per-call state lives in tables that
+	// persist across calls instead of per-call allocations.
+	loc     idTable // NodeID -> position in the current sub-problem
+	old     idTable // IncrementalR: NodeID -> position in the old schedule
+	edges   memberEdges
+	part    partScratch
+	pb      problem
+	slots   []beamEntry
+	cands   []beamCand
+	kids    []int32
+	exactTo []int32
+	ivs     [][]graph.NodeID
 }
 
 func (sc *Scheduler) maxExact() int {
@@ -62,35 +66,52 @@ func (sc *Scheduler) beamWidth() int {
 // DpSchedule returns a peak-memory-minimizing execution order for the
 // standalone graph g (exact for small g, approximate beyond MaxExact).
 func (sc *Scheduler) DpSchedule(g *graph.Graph) Schedule {
-	n := g.Len()
-	switch {
-	case n == 0:
-		return nil
-	case n == 1:
-		return Schedule{g.NodeIDs()[0]}
-	case n <= sc.maxExact():
-		return sc.exact(g)
-	case n <= sc.beamLimit():
-		return sc.beam(g, sc.beamWidth())
-	default:
-		return sc.beam(g, 1)
+	return sc.schedule(nil, g, g.NodeIDs())
+}
+
+// schedule appends to dst a peak-memory-minimizing order of seg, a sorted
+// list of g's nodes, scheduled on its own: producers outside seg are taken
+// as already computed, and a member's output is freed after its last
+// consumer inside seg (kept to the end when it has none), exactly as
+// DpSchedule(g.Subgraph(seg)) would.
+func (sc *Scheduler) schedule(dst Schedule, g *graph.Graph, seg []graph.NodeID) Schedule {
+	n := len(seg)
+	switch n {
+	case 0:
+		return dst
+	case 1:
+		return append(dst, seg[0])
 	}
+	p := sc.problemOn(g, seg)
+	var order []int32
+	switch {
+	case n <= sc.maxExact():
+		order = sc.exact(p)
+	case n <= sc.beamLimit():
+		order = sc.beam(p, sc.beamWidth())
+	default:
+		order = sc.beam(p, 1)
+	}
+	for _, v := range order {
+		dst = append(dst, p.ids[v])
+	}
+	return dst
 }
 
 // problem is the indexed form of a scheduling sub-problem. All per-node
 // tables and both adjacency arenas are reused across calls.
 type problem struct {
 	ids      []graph.NodeID // index -> node, topo order
-	idx      []int32        // NodeID -> index
 	preds    [][]int32      // distinct predecessors, arena-backed
 	sucs     [][]int32      // distinct consumers, arena-backed
 	size     []int64
 	trans    []int64
-	hasCons  []bool
+	hasCons  []bool   // has a consumer inside the sub-problem
 	predMask []uint64 // exact DP only, n <= 64
 	sucMask  []uint64
 
-	predArena, sucArena, cnt []int32
+	predArena, sucArena, cnt, pos []int32
+	free                          []int64
 }
 
 func ensureI32(s []int32, n int) []int32 {
@@ -114,30 +135,31 @@ func ensureU64(s []uint64, n int) []uint64 {
 	return s[:n]
 }
 
-// problemFor (re)builds sc.pb for g. The result is valid until the next
-// problemFor call on the same Scheduler.
-func (sc *Scheduler) problemFor(g *graph.Graph) *problem {
+// problemOn (re)builds sc.pb for seg, a sorted list of g's nodes, as a
+// standalone sub-problem: only edges between members count. Nodes are
+// indexed in the order of Kahn's algorithm taking the smallest ready ID
+// first, which is the order g.Subgraph(seg).Topo() gives. The result is
+// valid until the next problemOn call on the same Scheduler, and sc.loc
+// maps each member to its index until then.
+func (sc *Scheduler) problemOn(g *graph.Graph, seg []graph.NodeID) *problem {
 	p := &sc.pb
-	order, err := g.TopoInto(&sc.topo)
-	if err != nil {
-		panic(err.Error())
-	}
-	n := len(order)
+	n := len(seg)
+	e := sc.index(g, seg)
 	if cap(p.ids) < n {
 		p.ids = make([]graph.NodeID, n)
 	} else {
 		p.ids = p.ids[:n]
 	}
-	copy(p.ids, order)
-	maxID := 0
-	for _, v := range p.ids {
-		if int(v) > maxID {
-			maxID = int(v)
-		}
+	if cap(p.hasCons) < n {
+		p.hasCons = make([]bool, n)
+	} else {
+		p.hasCons = p.hasCons[:n]
 	}
-	p.idx = ensureI32(p.idx, maxID+1)
-	for i, v := range p.ids {
-		p.idx[v] = int32(i)
+	loc := &sc.loc
+	for k, i := range e.topo {
+		p.ids[k] = seg[i]
+		p.hasCons[k] = e.off[i+1] > e.off[i]
+		loc.set(seg[i], int32(k))
 	}
 	if cap(p.preds) < n {
 		p.preds = make([][]int32, n)
@@ -148,11 +170,6 @@ func (sc *Scheduler) problemFor(g *graph.Graph) *problem {
 	}
 	p.size = ensureI64(p.size, n)
 	p.trans = ensureI64(p.trans, n)
-	if cap(p.hasCons) < n {
-		p.hasCons = make([]bool, n)
-	} else {
-		p.hasCons = p.hasCons[:n]
-	}
 	small := n <= 64
 	if small {
 		p.predMask = ensureU64(p.predMask, n)
@@ -171,11 +188,13 @@ func (sc *Scheduler) problemFor(g *graph.Graph) *problem {
 		node := g.Node(v)
 		p.size[i] = OutDeviceBytes(node)
 		p.trans[i] = ExecTransientBytes(node)
-		p.hasCons[i] = g.SucEdges(v) > 0
 		base := len(arena)
 	ins:
 		for _, pr := range node.Ins {
-			j := p.idx[pr]
+			j, ok := loc.get(pr)
+			if !ok {
+				continue
+			}
 			for _, e := range arena[base:] {
 				if e == j {
 					continue ins
@@ -208,10 +227,10 @@ func (sc *Scheduler) problemFor(g *graph.Graph) *problem {
 	}
 	sa := ensureI32(p.sucArena, total)
 	p.sucArena = sa
-	off := int32(0)
+	at := int32(0)
 	for u := 0; u < n; u++ {
-		p.sucs[u] = sa[off : off : off+cnt[u]]
-		off += cnt[u]
+		p.sucs[u] = sa[at : at : at+cnt[u]]
+		at += cnt[u]
 	}
 	for i := range p.preds {
 		for _, u := range p.preds[i] {
@@ -229,13 +248,12 @@ type dpEntry struct {
 }
 
 // exact runs the exponential DP over subsets (n <= 64 by construction).
-func (sc *Scheduler) exact(g *graph.Graph) Schedule {
-	// Upper bound from greedy to prune the DP — computed first because the
-	// greedy beam shares sc.pb.
-	greedy := sc.beam(g, 1)
-	bound := sc.scratch.PeakOnly(g, greedy)
+// The order it returns is valid until the next exact or beam call.
+func (sc *Scheduler) exact(p *problem) []int32 {
+	// Upper bound from greedy to prune the DP.
+	greedy := sc.beam(p, 1)
+	bound := p.peakOf(greedy)
 
-	p := sc.problemFor(g)
 	n := len(p.ids)
 	memo := map[uint64]dpEntry{0: {}}
 	frontier := []uint64{0}
@@ -283,13 +301,45 @@ func (sc *Scheduler) exact(g *graph.Graph) Schedule {
 		// Pruning removed every path (bound was already optimal): fall back.
 		return greedy
 	}
-	order := make(Schedule, n)
+	order := ensureI32(sc.exactTo, n)
+	sc.exactTo = order
 	for mask := full; mask != 0; {
 		e := memo[mask]
-		order[popcount64(mask)-1] = p.ids[e.last]
+		order[bits.OnesCount64(mask)-1] = int32(e.last)
 		mask = e.prev
 	}
 	return order
+}
+
+// peakOf is PeakOnly of order on the standalone sub-problem: a node's
+// output is freed after its last consumer runs, or kept to the end when it
+// has none.
+func (p *problem) peakOf(order []int32) int64 {
+	n := len(order)
+	pos := ensureI32(p.pos, n)
+	free := ensureI64(p.free, n)
+	p.pos, p.free = pos, free
+	clear(free)
+	for i, v := range order {
+		pos[v] = int32(i)
+	}
+	for v := range order {
+		last := int32(n - 1)
+		if p.hasCons[v] {
+			last = pos[v]
+			for _, s := range p.sucs[v] {
+				last = max(last, pos[s])
+			}
+		}
+		free[last] += p.size[v]
+	}
+	var cur, peak int64
+	for i, v := range order {
+		cur += p.size[v]
+		peak = max(peak, cur+p.trans[v])
+		cur -= free[i]
+	}
+	return peak
 }
 
 // beamEntry is one scheduled-prefix state, living in a persistent slot.
@@ -336,8 +386,10 @@ type beamCand struct {
 // parents included, so the schedules are those of the full scan and sort.
 // A parent's last kept child takes over the parent's buffers instead of
 // copying them.
-func (sc *Scheduler) beam(g *graph.Graph, w int) Schedule {
-	p := sc.problemFor(g)
+//
+// The order it returns aliases a slot and is valid until the next beam
+// call.
+func (sc *Scheduler) beam(p *problem, w int) []int32 {
 	n := len(p.ids)
 	if cap(sc.slots) < 2*w {
 		sc.slots = make([]beamEntry, 2*w)
@@ -427,11 +479,7 @@ func (sc *Scheduler) beam(g *graph.Graph, w int) Schedule {
 			best = &beam[i]
 		}
 	}
-	order := make(Schedule, n)
-	for i, v := range best.order {
-		order[i] = p.ids[v]
-	}
-	return order
+	return best.order
 }
 
 // removeI32 deletes the first occurrence of v from s, keeping order.
@@ -454,13 +502,4 @@ func insertSorted(s []int32, v int32) []int32 {
 	}
 	s[i] = v
 	return s
-}
-
-func popcount64(x uint64) int {
-	n := 0
-	for x != 0 {
-		x &= x - 1
-		n++
-	}
-	return n
 }

@@ -1,6 +1,10 @@
 package sched
 
-import "magis/internal/graph"
+import (
+	"slices"
+
+	"magis/internal/graph"
+)
 
 // Incremental implements Algorithm 2: derive a schedule for gNew from the
 // previous schedule psiOld of gOld, rescheduling only intervals around the
@@ -26,9 +30,10 @@ func (sc *Scheduler) Incremental(gOld, gNew *graph.Graph, oldMutated []graph.Nod
 const clusterGap = 48
 
 // IncrementalR is Incremental with a caller-provided (cacheable)
-// reachability index over gOld; pass nil to compute one. Expanding one
-// M-State evaluates dozens of candidates against the same parent graph,
-// so callers that cache the index avoid the dominant O(V^2) term.
+// reachability index over gOld; pass nil to compute the narrow-waist
+// values it needs from scratch. Expanding one M-State evaluates dozens of
+// candidates against the same parent graph, so callers that cache the
+// index avoid the dominant O(V^2) term.
 //
 // The splice is best-effort by contract (it already falls back to full
 // scheduling on an invalid order); a panic while splicing — a transformed
@@ -56,8 +61,20 @@ func (sc *Scheduler) IncrementalR(gOld, gNew *graph.Graph, oldMutated []graph.No
 		full := sc.ScheduleGraph(gNew)
 		return full, len(full)
 	}
+	// nw is the narrow-waist value of a node in gOld. Without a cached
+	// index it comes from reachability tables over the whole of gOld,
+	// which stay valid until the first segments call below.
+	nw := func(v graph.NodeID) int { return reach.NW(v) }
 	if reach == nil {
-		reach = graph.NewReachIndex(gOld)
+		sc.reach(gOld, gOld.NodeIDs())
+		all := gOld.Len()
+		nw = func(v graph.NodeID) int {
+			i, ok := sc.loc.get(v)
+			if !ok {
+				return -1 // as ReachIndex.NW for a node not in gOld
+			}
+			return sc.part.nw(i, all)
+		}
 	}
 
 	// Cluster sites and extend each cluster to narrow waists.
@@ -74,8 +91,8 @@ func (sc *Scheduler) IncrementalR(gOld, gNew *graph.Graph, oldMutated []graph.No
 	}
 	ivs = append(ivs, cur)
 	for i := range ivs {
-		ivs[i].beg = extendBound(psiOld, reach, ivs[i].beg, -1)
-		ivs[i].end = extendBound(psiOld, reach, ivs[i].end-1, +1)
+		ivs[i].beg = extendBound(psiOld, nw, ivs[i].beg, -1)
+		ivs[i].end = extendBound(psiOld, nw, ivs[i].end-1, +1)
 	}
 	// Merge overlaps after extension.
 	merged := ivs[:1]
@@ -98,31 +115,39 @@ func (sc *Scheduler) IncrementalR(gOld, gNew *graph.Graph, oldMutated []graph.No
 		}
 		return -1
 	}
-	// Partition old positions into kept runs and per-interval member sets.
-	members := make([]graph.Set, len(merged))
-	for i := range members {
-		members[i] = make(graph.Set)
+	// Partition old positions into kept runs and per-interval member lists.
+	if cap(sc.ivs) < len(merged) {
+		sc.ivs = make([][]graph.NodeID, len(merged))
 	}
-	oldPos := make(map[graph.NodeID]int, len(psiOld))
+	members := sc.ivs[:len(merged)]
+	for k := range members {
+		members[k] = members[k][:0]
+	}
+	oldPos := &sc.old
+	maxID := graph.NodeID(0)
+	for _, v := range psiOld {
+		maxID = max(maxID, v)
+	}
+	oldPos.reset(int(maxID) + 1)
 	for i, v := range psiOld {
-		oldPos[v] = i
+		oldPos.set(v, int32(i))
 		if !gNew.Has(v) {
 			continue
 		}
 		if k := inInterval(i); k >= 0 {
-			members[k][v] = true
+			members[k] = append(members[k], v)
 		}
 	}
 	// Assign new nodes (absent from psiOld) to the interval holding one of
 	// their neighbours, defaulting to the last interval.
 	for _, v := range gNew.NodeIDs() {
-		if _, old := oldPos[v]; old {
+		if _, old := oldPos.get(v); old {
 			continue
 		}
 		k := len(merged) - 1
 		assign := func(u graph.NodeID) bool {
-			if p, ok := oldPos[u]; ok {
-				if i := inInterval(p); i >= 0 {
+			if p, ok := oldPos.get(u); ok {
+				if i := inInterval(int(p)); i >= 0 {
 					k = i
 					return true
 				}
@@ -143,7 +168,7 @@ func (sc *Scheduler) IncrementalR(gOld, gNew *graph.Graph, oldMutated []graph.No
 				}
 			}
 		}
-		members[k][v] = true
+		members[k] = append(members[k], v)
 	}
 
 	// Schedule each interval's member set and splice.
@@ -156,10 +181,11 @@ func (sc *Scheduler) IncrementalR(gOld, gNew *graph.Graph, oldMutated []graph.No
 				out = append(out, v)
 			}
 		}
-		for _, seg := range GraphPartition(gNew, members[k]) {
-			mid := sc.DpSchedule(gNew.Subgraph(seg))
-			out = append(out, mid...)
-			rescheduled += len(mid)
+		slices.Sort(members[k])
+		for _, seg := range sc.segments(gNew, members[k]) {
+			before := len(out)
+			out = sc.schedule(out, gNew, seg)
+			rescheduled += len(out) - before
 		}
 		prevEnd = iv.end
 	}
@@ -179,15 +205,15 @@ func (sc *Scheduler) IncrementalR(gOld, gNew *graph.Graph, oldMutated []graph.No
 // extendBound walks the old schedule away from the mutated interval until
 // it finds a suitably narrow waist, limiting both walk length and waist
 // width with the paper's empirical constants (Algorithm 2 lines 2-6).
-func extendBound(psi Schedule, reach *graph.ReachIndex, i, d int) int {
+func extendBound(psi Schedule, nw func(graph.NodeID) int, i, d int) int {
 	wHat := int(^uint(0) >> 1) // +inf
 	l := 0
 	for i >= 0 && i < len(psi) {
-		nw := reach.NW(psi[i])
-		if !(l < 20 && (wHat > 10 || nw < 4) && nw < wHat) {
+		w := nw(psi[i])
+		if !(l < 20 && (wHat > 10 || w < 4) && w < wHat) {
 			break
 		}
-		wHat = nw
+		wHat = w
 		i += d
 		l++
 	}

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -78,6 +79,59 @@ func TestValidate(t *testing.T) {
 	}
 	if err := (Schedule{in, in}).Validate(g); err == nil {
 		t.Error("duplicate accepted")
+	}
+}
+
+// refValidate is Validate as it was with a map of positions and sorted
+// distinct producer lists: the reference for the error each bad schedule
+// must get.
+func refValidate(s Schedule, g *graph.Graph) error {
+	if len(s) != g.Len() {
+		return fmt.Errorf("sched: schedule has %d nodes, graph has %d", len(s), g.Len())
+	}
+	pos := make(map[graph.NodeID]int, len(s))
+	for i, v := range s {
+		if _, dup := pos[v]; dup {
+			return fmt.Errorf("sched: node %d appears twice", v)
+		}
+		if !g.Has(v) {
+			return fmt.Errorf("sched: node %d not in graph", v)
+		}
+		pos[v] = i
+	}
+	for _, v := range s {
+		for _, p := range g.Pre(v) {
+			if pos[p] > pos[v] {
+				return fmt.Errorf("sched: node %d scheduled before producer %d", v, p)
+			}
+		}
+	}
+	return nil
+}
+
+// TestValidateMatchesReference compares Validate's verdict and message
+// with refValidate on valid schedules of random DAGs with duplicated
+// inputs and on copies with swapped, repeated, dropped and foreign entries.
+func TestValidateMatchesReference(t *testing.T) {
+	sc := &Scheduler{}
+	for seed := 0; seed < 300; seed++ {
+		r := rand.New(rand.NewSource(int64(seed)))
+		g := randomDAG(r, 2+r.Intn(60))
+		s := sc.ScheduleGraph(g)
+		switch seed % 5 {
+		case 1:
+			i, j := r.Intn(len(s)), r.Intn(len(s))
+			s[i], s[j] = s[j], s[i]
+		case 2:
+			s[r.Intn(len(s))] = s[r.Intn(len(s))]
+		case 3:
+			s = s[:len(s)-1]
+		case 4:
+			s[r.Intn(len(s))] = g.NextID() + graph.NodeID(r.Intn(3))
+		}
+		if got, want := fmt.Sprint(s.Validate(g)), fmt.Sprint(refValidate(s, g)); got != want {
+			t.Fatalf("seed %d: Validate says %s, reference %s", seed, got, want)
+		}
 	}
 }
 
@@ -201,7 +255,8 @@ func TestGraphPartitionChain(t *testing.T) {
 		prev = g.Add(sized("C", 1), prev)
 		all = append(all, prev)
 	}
-	segs := GraphPartition(g, graph.NewSet(all...))
+	sc := &Scheduler{}
+	segs := sc.segments(g, all)
 	if len(segs) < 2 {
 		t.Fatalf("chain should partition, got %d segments", len(segs))
 	}
@@ -212,7 +267,6 @@ func TestGraphPartitionChain(t *testing.T) {
 	if total != len(all) {
 		t.Errorf("segments cover %d of %d nodes", total, len(all))
 	}
-	sc := &Scheduler{}
 	if err := sc.ScheduleGraph(g).Validate(g); err != nil {
 		t.Error(err)
 	}

@@ -24,21 +24,27 @@ func (s Schedule) Validate(g *graph.Graph) error {
 	if len(s) != g.Len() {
 		return fmt.Errorf("sched: schedule has %d nodes, graph has %d", len(s), g.Len())
 	}
-	pos := make(map[graph.NodeID]int, len(s))
+	// pos[v] is v's step plus one, 0 while v is unseen; every node ID is
+	// below g.NextID().
+	pos := make([]int32, g.NextID())
 	for i, v := range s {
-		if _, dup := pos[v]; dup {
-			return fmt.Errorf("sched: node %d appears twice", v)
-		}
 		if !g.Has(v) {
 			return fmt.Errorf("sched: node %d not in graph", v)
 		}
-		pos[v] = i
+		if pos[v] != 0 {
+			return fmt.Errorf("sched: node %d appears twice", v)
+		}
+		pos[v] = int32(i) + 1
 	}
 	for _, v := range s {
-		for _, p := range g.Pre(v) {
-			if pos[p] > pos[v] {
-				return fmt.Errorf("sched: node %d scheduled before producer %d", v, p)
+		late := graph.Invalid // the smallest producer scheduled after v
+		for _, p := range g.Node(v).Ins {
+			if pos[p] > pos[v] && (late == graph.Invalid || p < late) {
+				late = p
 			}
+		}
+		if late != graph.Invalid {
+			return fmt.Errorf("sched: node %d scheduled before producer %d", v, late)
 		}
 	}
 	return nil

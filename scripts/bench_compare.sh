@@ -14,6 +14,13 @@
 # fast path, an allocation leak), not single-digit noise. Benchmarks
 # present on only one side are reported but never fail the gate, so adding
 # a benchmark does not require refreshing the baseline in the same change.
+#
+# Rows are matched by name after stripping the "-N" suffix go test appends
+# when GOMAXPROCS > 1, on both sides, so a baseline recorded on one core
+# count compares with a run on another. A name that embeds the core count
+# itself (BenchmarkCore_Optimize/workers=gomaxprocs-N) matches only at the
+# same count. The gate fails when no row matches at all: a comparison of
+# nothing is not a pass.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -37,6 +44,11 @@ function getstr(line, key,    k, s) {
     s = substr(line, index(line, k) + length(k))
     return substr(s, 1, index(s, "\"") - 1)
 }
+# Drop the "-N" GOMAXPROCS suffix go test appends to benchmark names.
+function stripprocs(name) {
+    sub(/-[0-9]+$/, "", name)
+    return name
+}
 # Pull a numeric metric out of one JSON benchmark line ("" when absent).
 function getnum(line, key,    k, s) {
     k = "\"" key "\":"
@@ -46,7 +58,7 @@ function getnum(line, key,    k, s) {
     return s + 0
 }
 /"name"/ {
-    name = getstr($0, "name")
+    name = stripprocs(getstr($0, "name"))
     if (name == "") next
     if (FILENAME == ARGV[1]) {
         base_evals[name] = getnum($0, "evals")
@@ -61,6 +73,7 @@ function getnum(line, key,    k, s) {
 }
 END {
     fails = 0
+    matched = 0
     printf "%-48s %14s %14s %9s\n", "benchmark", "baseline", "current", "delta"
     for (i = 0; i < n; i++) {
         name = order[i]
@@ -68,6 +81,7 @@ END {
             printf "%-48s %14s %14s %9s\n", name, "-", "(new)", "skip"
             continue
         }
+        matched++
         if (base_evals[name] != "" && cur_evals[name] != "") {
             d = 100 * (cur_evals[name] / base_evals[name] - 1)
             verdict = "ok"
@@ -87,10 +101,14 @@ END {
         if (!in_cur[name])
             printf "%-48s %14s %14s %9s\n", name, "(baseline only)", "-", "skip"
     }
+    if (!matched) {
+        printf "\nno benchmark matched the baseline: nothing was compared\n"
+        exit 1
+    }
     if (fails) {
         printf "\n%d regression(s) beyond +/-%d%%\n", fails, thr
         exit 1
     }
-    printf "\nno regressions beyond +/-%d%%\n", thr
+    printf "\n%d benchmark(s) compared, no regressions beyond +/-%d%%\n", matched, thr
 }
 ' "$baseline" "$tmp"
