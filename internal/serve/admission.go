@@ -53,14 +53,7 @@ func (s *Server) workloadStats(name string, scale float64) (*wlStats, error) {
 	if err != nil {
 		return nil, err
 	}
-	base := opt.Baseline(w.G, s.cfg.Model)
-	st = &wlStats{
-		nodes:   w.G.Len(),
-		wl:      w.G.WLHash(),
-		topo:    plancache.TopoHash(w.G),
-		baseMem: base.PeakMem,
-		baseLat: base.Latency,
-	}
+	st = s.statsOf(w.G)
 	s.wlMu.Lock()
 	s.wlStats[key] = st
 	s.wlMu.Unlock()
@@ -75,20 +68,24 @@ func (s *Server) workloadStats(name string, scale float64) (*wlStats, error) {
 func (s *Server) graphStats(g *graph.Graph) (*wlStats, error) {
 	var st *wlStats
 	err := opt.Guard("serve", "graph-stats", func() error {
-		base := opt.Baseline(g, s.cfg.Model)
-		st = &wlStats{
-			nodes:   g.Len(),
-			wl:      g.WLHash(),
-			topo:    plancache.TopoHash(g),
-			baseMem: base.PeakMem,
-			baseLat: base.Latency,
-		}
+		st = s.statsOf(g)
 		return nil
 	})
 	if err != nil {
 		return nil, fmt.Errorf("graph baseline evaluation failed: %w", err)
 	}
 	return st, nil
+}
+
+func (s *Server) statsOf(g *graph.Graph) *wlStats {
+	base := opt.Baseline(g, s.cfg.Model)
+	return &wlStats{
+		nodes:   g.Len(),
+		wl:      g.WLHash(),
+		topo:    plancache.TopoHash(g),
+		baseMem: base.PeakMem,
+		baseLat: base.Latency,
+	}
 }
 
 // searchOptions builds the search configuration for a job from the
@@ -221,18 +218,6 @@ func (s *Server) releaseCost(j *job) {
 	j.mu.Unlock()
 }
 
-// admitClass bumps the per-class admission counter.
-func (s *Server) admitClass(class plancache.Class) {
-	switch class {
-	case plancache.ClassHit:
-		s.met.AdmittedHit.Add(1)
-	case plancache.ClassWarm:
-		s.met.AdmittedWarm.Add(1)
-	default:
-		s.met.AdmittedCold.Add(1)
-	}
-}
-
 // retryAfter estimates when capacity frees up: the queued work divided
 // across the workers, clamped to [1s, 60s]. A hint, not a promise — but a
 // hint derived from the actual backlog beats a constant.
@@ -260,42 +245,12 @@ func doomed(j *job, now time.Time) bool {
 	return now.Add(j.minServe).After(j.deadline)
 }
 
-// shedKind labels why a queued job was shed.
-type shedKind int
-
-const (
-	shedExpired shedKind = iota // deadline unmeetable, drained from the queue
-	shedEvicted                 // evicted to make room for more urgent work
-)
-
-// shedJob settles a queued job as shed without running it. Safe to call
-// on a job another path already settled (it no-ops unless still queued).
-func (s *Server) shedJob(j *job, kind shedKind) {
-	j.mu.Lock()
-	if j.state != stateQueued {
-		j.mu.Unlock()
-		return
+// shedJob settles a queued job as shed (o is shedExpired or shedEvicted)
+// without running it.
+func (s *Server) shedJob(j *job, o outcome) {
+	if s.settle(j, o) {
+		s.cfg.Logf("serve: %s shed (%s)", j.id, o.err)
 	}
-	j.state = stateShed
-	j.finished = time.Now()
-	switch kind {
-	case shedEvicted:
-		j.err = "shed: evicted under pressure for more urgent work"
-	default:
-		j.err = "shed: deadline cannot be met"
-	}
-	j.mu.Unlock()
-	switch kind {
-	case shedEvicted:
-		s.met.ShedEvicted.Add(1)
-	default:
-		s.met.ShedExpired.Add(1)
-	}
-	// A shed probe settled without a verdict: release the half-open slot,
-	// or the breaker waits forever on a probe that never ran.
-	s.abandonProbe(j)
-	s.releaseCost(j)
-	s.cfg.Logf("serve: %s shed (%s)", j.id, j.err)
 }
 
 // shedExpiredQueued sweeps the queue for jobs whose deadline is already
@@ -319,7 +274,7 @@ func (s *Server) shedExpiredQueued() int {
 func (s *Server) admitQueued(j *job) pushVerdict {
 	v := s.queue.push(j)
 	if v != pushFull {
-		return v
+		return v // admitted, or refused for a reason eviction cannot fix
 	}
 	if s.shedExpiredQueued() > 0 {
 		if v = s.queue.push(j); v != pushFull {

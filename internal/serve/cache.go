@@ -41,7 +41,7 @@ func (s *Server) cachedSearch(ctx context.Context, j *job, w *models.Workload, b
 	if hit, ok := s.cfg.Cache.Get(w.G, fp); ok {
 		res, err := s.resultFromHit(j, base, hit)
 		if err == nil {
-			s.met.CacheHits.Add(1)
+			s.met[cCacheHits].Add(1)
 			s.hitLat.add(time.Since(start).Seconds())
 			s.cfg.Logf("serve: %s served from cache (%s)", j.id, hit.Key)
 			return res, nil
@@ -49,12 +49,12 @@ func (s *Server) cachedSearch(ctx context.Context, j *job, w *models.Workload, b
 		// A verified entry that fails to replay is as good as absent.
 		s.cfg.Logf("serve: %s: cached plan %s failed to replay (%v); searching", j.id, hit.Key, err)
 	}
-	s.met.CacheMisses.Add(1)
+	s.met[cCacheMisses].Add(1)
 
 	key := s.cfg.Cache.Key(w.G, fp)
 	f, leader := s.cfg.Cache.Join(key)
 	if !leader {
-		s.met.FlightShared.Add(1)
+		s.met[cFlightShared].Add(1)
 		if res, ok, err := s.awaitFlight(ctx, j, f); ok {
 			j.setCacheOutcome("shared")
 			if err != nil && res == nil {
@@ -131,7 +131,7 @@ func (s *Server) seededSearch(ctx context.Context, j *job, w *models.Workload, f
 		seeds = append(seeds, st)
 	}
 	if len(seeds) > 0 {
-		s.met.CacheWarmStarts.Add(1)
+		s.met[cCacheWarmStarts].Add(1)
 		j.setCacheOutcome("warm")
 	}
 	res, err := opt.OptimizeSeeded(ctx, w.G, s.cfg.Model, o, seeds...)

@@ -25,7 +25,10 @@ import (
 //     on this path a tier must verify before it is served — a failure
 //     already happened, so nothing unvetted leaves the building.
 func (s *Server) degradedFallback(j *job, res *opt.Result, err error) *robust.Anytime {
-	if res == nil || !j.isDeadlineLimited() {
+	j.mu.Lock()
+	limited, verified, interrupted := j.deadlineLimited, j.verified, j.interrupted
+	j.mu.Unlock()
+	if res == nil || !limited {
 		return nil
 	}
 	if err == nil {
@@ -36,10 +39,10 @@ func (s *Server) degradedFallback(j *job, res *opt.Result, err error) *robust.An
 		if ferr != nil {
 			return nil
 		}
-		any.Verified = j.verifiedOK()
+		any.Verified = verified
 		return any
 	}
-	if j.interruptedReason() != reasonNone {
+	if interrupted != reasonNone {
 		return nil
 	}
 	any, ferr := robust.Fallback(nil, res, true, j.req.VerifySeed)
@@ -47,16 +50,4 @@ func (s *Server) degradedFallback(j *job, res *opt.Result, err error) *robust.An
 		return nil
 	}
 	return any
-}
-
-func (j *job) isDeadlineLimited() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.deadlineLimited
-}
-
-func (j *job) verifiedOK() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.verified
 }

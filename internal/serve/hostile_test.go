@@ -123,8 +123,8 @@ func TestMaxBodyRejectsOversized(t *testing.T) {
 	if body["reason"] != "too-large" {
 		t.Fatalf("reason %q, want too-large", body["reason"])
 	}
-	if s.met.RejectedTooLarge.Load() != 1 {
-		t.Fatalf("rejected_too_large = %d, want 1", s.met.RejectedTooLarge.Load())
+	if s.met[cRejectedTooLarge].Load() != 1 {
+		t.Fatalf("rejected_too_large = %d, want 1", s.met[cRejectedTooLarge].Load())
 	}
 }
 
@@ -213,7 +213,7 @@ func TestGraphSubmissionRejectsHostileDocuments(t *testing.T) {
 			}
 		})
 	}
-	if got := s.met.Admitted.Load(); got != 0 {
+	if got := s.met[cAdmitted].Load(); got != 0 {
 		t.Fatalf("hostile documents admitted %d jobs, want 0", got)
 	}
 }
@@ -239,8 +239,8 @@ func TestGraphSubmissionRejectsSearchBombs(t *testing.T) {
 	if body["reason"] != string(ingest.ReasonSearchBomb) {
 		t.Fatalf("reason %q, want %s", body["reason"], ingest.ReasonSearchBomb)
 	}
-	if s.met.RejectedBomb.Load() != 1 {
-		t.Fatalf("rejected_bomb = %d, want 1", s.met.RejectedBomb.Load())
+	if s.met[cRejectedBomb].Load() != 1 {
+		t.Fatalf("rejected_bomb = %d, want 1", s.met[cRejectedBomb].Load())
 	}
 	if held := s.costInUse.Load(); held != 0 {
 		t.Fatalf("rejected bomb left %d cost units held", held)
@@ -275,7 +275,7 @@ func TestClientRateLimit(t *testing.T) {
 	if code, body := postAs(t, ts, "good", `{"model":"mlp"}`); code != http.StatusAccepted {
 		t.Fatalf("good client blocked by bully's rate: status %d (%v)", code, body)
 	}
-	if s.met.RejectedClientRate.Load() == 0 {
+	if s.met[cRejectedClientRate].Load() == 0 {
 		t.Fatal("rejected_client_rate not counted")
 	}
 }
@@ -317,8 +317,8 @@ func TestClientShareIsolation(t *testing.T) {
 
 	// The rejected hold must have been rolled back: global cost in use is
 	// exactly the two admitted jobs.
-	if s.met.RejectedClientShare.Load() != 1 {
-		t.Fatalf("rejected_client_share = %d, want 1", s.met.RejectedClientShare.Load())
+	if s.met[cRejectedClientShare].Load() != 1 {
+		t.Fatalf("rejected_client_share = %d, want 1", s.met[cRejectedClientShare].Load())
 	}
 }
 
@@ -360,8 +360,8 @@ func TestClientQueueCap(t *testing.T) {
 	if code, body := postAs(t, ts, "good", `{"model":"mlp"}`); code != http.StatusAccepted {
 		t.Fatalf("good client blocked by bully's queue cap: status %d (%v)", code, body)
 	}
-	if s.met.ShedEvicted.Load() != 0 {
-		t.Fatalf("client-queue rejection evicted %d victims, want 0", s.met.ShedEvicted.Load())
+	if s.met[cShedEvicted].Load() != 0 {
+		t.Fatalf("client-queue rejection evicted %d victims, want 0", s.met[cShedEvicted].Load())
 	}
 }
 

@@ -50,14 +50,7 @@ const (
 )
 
 func (r interruptReason) String() string {
-	switch r {
-	case reasonDrain:
-		return "draining"
-	case reasonStall:
-		return "stalled"
-	default:
-		return "none"
-	}
+	return [...]string{"none", "draining", "stalled"}[r]
 }
 
 type job struct {
@@ -92,9 +85,8 @@ type job struct {
 	class    plancache.Class
 	// probe marks the job admitted as its workload's half-open breaker
 	// probe (immutable after admission): if it settles without a verdict —
-	// shed, cancelled, rejected by a later admission gate, or truncated by
-	// the client's deadline — abandonProbe must release the half-open slot
-	// or the breaker wedges open forever.
+	// shed, cancelled, or truncated by the client's deadline — settle
+	// releases the half-open slot, or the breaker would wedge open forever.
 	probe bool
 
 	mu sync.Mutex
@@ -201,26 +193,19 @@ func (j *job) setCacheOutcome(o string) {
 	j.mu.Unlock()
 }
 
-// interrupt cancels the job for the given reason. A running job keeps its
-// state until the runner observes the cancellation; a still-queued job is
-// finished on the spot. Returns whether a queued job was cancelled here.
-func (j *job) interrupt(r interruptReason) bool {
+// interrupt cancels a running job's search for the given reason; its
+// runner settles the job when the search returns. A job that is not
+// running is left alone: a queued job is settled by whoever takes it off
+// the queue.
+func (j *job) interrupt(r interruptReason) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	switch j.state {
-	case stateQueued:
-		j.state = stateCancelled
-		j.interrupted = r
-		j.finished = time.Now()
-		j.err = "cancelled before start: " + r.String()
-		return true
-	case stateRunning:
+	if j.state == stateRunning {
 		j.interrupted = r
 		if j.cancel != nil {
 			j.cancel()
 		}
 	}
-	return false
 }
 
 // workloadName is the job's workload identity: the model name for
@@ -315,29 +300,6 @@ func (s *Server) worker() {
 	}
 }
 
-// flushQueue cancels every still-queued job; safe to call from several
-// goroutines.
-func (s *Server) flushQueue() {
-	for _, j := range s.queue.drainAll() {
-		if j.interrupt(reasonDrain) {
-			s.met.Cancelled.Add(1)
-		}
-		s.abandonProbe(j)
-		s.releaseCost(j)
-	}
-}
-
-// abandonProbe releases a job's half-open breaker slot when — and only
-// when — this job was admitted as its workload's probe and settled
-// without delivering a verdict. Gating on j.probe keeps an abandoned
-// non-probe job of the same workload from releasing a slot a different
-// in-flight probe still owns. Safe to call repeatedly.
-func (s *Server) abandonProbe(j *job) {
-	if j.probe {
-		s.brk.onAbandon(breakerKey(j.workloadName(), j.req.Scale, j.req.Mode))
-	}
-}
-
 // runJob executes one job under panic isolation with a deadline derived
 // from its requested budget (the search's own TimeBudget plus slack for
 // baseline evaluation and checkpoint writes), tightened to the client
@@ -359,8 +321,11 @@ func (s *Server) runJob(j *job) {
 	defer cancel()
 
 	j.mu.Lock()
-	if j.state != stateQueued { // cancelled while queued, drain race
+	if j.state != stateQueued || s.draining.Load() {
+		// Popped just before Drain closed the queue: Drain cancels only
+		// running searches, so the job settles here as a drained queued job.
 		j.mu.Unlock()
+		s.settle(j, drainedQueued)
 		return
 	}
 	j.state = stateRunning
@@ -378,7 +343,7 @@ func (s *Server) runJob(j *job) {
 		j.mu.Lock()
 		j.degradedStorage = true
 		j.mu.Unlock()
-		s.met.StorageDegradedJobs.Add(1)
+		s.met[cStorageDegradedJobs].Add(1)
 		s.cfg.Logf("serve: %s running with degraded storage (uncached, uncheckpointed)", j.id)
 	}
 
@@ -396,161 +361,187 @@ func (s *Server) runJob(j *job) {
 	s.finishJob(j, res, err)
 }
 
-// finishJob settles a job's final state and decides whether an interrupted
-// one comes back: a first stall with a checkpoint is re-admitted to resume;
-// drain leaves the checkpoint for the next incarnation of the server. Every
-// settle path reports the workload's verdict to its circuit breaker:
-// failure, success, or — when the settle carries no verdict (shed, drained,
-// or cut short by the client's own deadline rather than by the workload) —
-// an abandoned probe, so the half-open state can never wedge. It also
-// releases the job's admission cost exactly once;
-// only a successful stall re-queue keeps the cost held, because the work is
-// still in the building.
+// verdict is what a settled job tells its workload's circuit breaker.
+type verdict int
+
+const (
+	// noVerdict: the job settled without judging its workload (shed,
+	// drained, stalled, or cut short by the client's own clock), so a
+	// probe hands its half-open slot back and the breaker cannot wedge.
+	noVerdict verdict = iota
+	verdictSuccess
+	verdictFailure
+)
+
+// outcome is how a job settles: its terminal state, the counter that
+// state moves, the breaker verdict, and the error or result it reports.
+type outcome struct {
+	state   string
+	counter counter
+	verdict verdict
+	err     string
+	summary *jobSummary
+}
+
+// The outcomes of a queued job settled without running.
+var (
+	shedExpired   = outcome{state: stateShed, counter: cShedExpired, err: "shed: deadline cannot be met"}
+	shedEvicted   = outcome{state: stateShed, counter: cShedEvicted, err: "shed: evicted under pressure for more urgent work"}
+	drainedQueued = cancelled("cancelled before start: " + reasonDrain.String())
+)
+
+func cancelled(msg string) outcome {
+	return outcome{state: stateCancelled, counter: cCancelled, err: msg}
+}
+
+// settle is the only way a job becomes terminal. It acts once: a job
+// already terminal is left alone and settle reports false. Otherwise it
+// records the outcome and finish time, drops the request payload the job
+// no longer needs, bumps the outcome's counter, hands the breaker its
+// verdict, and returns the admission cost hold — so every admitted job
+// lands in exactly one terminal counter and gives back everything it held.
+func (s *Server) settle(j *job, o outcome) bool {
+	j.mu.Lock()
+	if j.state != stateQueued && j.state != stateRunning {
+		j.mu.Unlock()
+		return false
+	}
+	j.state = o.state
+	j.finished = time.Now()
+	j.err = o.err
+	j.summary = o.summary
+	j.req.Graph = nil
+	j.g = nil
+	j.mu.Unlock()
+
+	s.met[o.counter].Add(1)
+	if o.summary != nil && o.summary.Degraded {
+		s.met[cDegraded].Add(1)
+	}
+	bkey := breakerKey(j.workloadName(), j.req.Scale, j.req.Mode)
+	switch o.verdict {
+	case verdictSuccess:
+		s.brk.onSuccess(bkey)
+	case verdictFailure:
+		if s.brk.onFailure(bkey, time.Now()) {
+			s.met[cBreakerTrips].Add(1)
+			s.cfg.Logf("serve: breaker opened for %s", bkey)
+		}
+	default:
+		// Only the job admitted as the probe owns the half-open slot; an
+		// abandoned non-probe job of the same workload must not release
+		// a slot a different in-flight probe still holds.
+		if j.probe {
+			s.brk.onAbandon(bkey)
+		}
+	}
+	s.releaseCost(j)
+	return true
+}
+
+// finishJob settles a job whose search returned, and decides whether an
+// interrupted one comes back: a first stall with a checkpoint is
+// re-admitted to resume (not terminal: the job keeps its cost hold, the
+// work is still in the building); drain leaves the checkpoint for the
+// next incarnation of the server.
 func (s *Server) finishJob(j *job, res *opt.Result, err error) {
 	j.mu.Lock()
-	reason := j.interrupted
-	resumes := j.resumes
+	reason, resumes := j.interrupted, j.resumes
 	j.cancel = nil
-	j.finished = time.Now()
 	j.mu.Unlock()
 	s.noteSearchTelemetry(res)
-	bkey := breakerKey(j.workloadName(), j.req.Scale, j.req.Mode)
 
 	switch {
 	case err != nil:
+		// A deadline or cancellation is the client's clock, not the
+		// workload's: a tight-deadline client on a healthy slow workload
+		// starts no failure streak. Genuine search/verify failures count
+		// even when a fallback tier limps the job home: a workload that
+		// only ever degrades must still trip.
+		v := verdictFailure
 		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-			// The client's clock (or a cancellation) bit, not the workload:
-			// a tight-deadline client on a healthy slow workload is no
-			// failure streak. No verdict either way — just release the
-			// half-open slot if this job was the probe.
-			s.abandonProbe(j)
-		} else if s.brk.onFailure(bkey, time.Now()) {
-			// Genuine search/verify failures count regardless of what
-			// happens next: a workload that only ever limps home on a
-			// fallback tier must still trip.
-			s.met.BreakerTrips.Add(1)
-			s.cfg.Logf("serve: breaker opened for %s", bkey)
+			v = noVerdict
 		}
 		// A deadline-limited search that errored (typically: best-so-far
 		// failed verification after truncation) may still hold a servable
 		// tier; degradedFallback re-verifies before letting it out.
 		if any := s.degradedFallback(j, res, err); any != nil {
-			s.settleDegraded(j, res, any)
-			s.releaseCost(j)
+			s.settle(j, j.done(res, any, v))
 			s.cfg.Logf("serve: %s degraded to %s after error: %v", j.id, any.Tier, err)
 			return
 		}
-		j.mu.Lock()
-		j.state = stateFailed
-		j.err = err.Error()
-		j.mu.Unlock()
-		s.met.Failed.Add(1)
-		s.releaseCost(j)
+		s.settle(j, outcome{state: stateFailed, counter: cFailed, verdict: v, err: err.Error()})
 		s.cfg.Logf("serve: %s failed: %v", j.id, err)
 
-	case reason == reasonStall && resumes < 1 && s.checkpointExists(j):
-		s.met.Stalled.Add(1)
-		if s.requeueResume(j) {
-			return
-		}
-		s.setCancelled(j, "stalled; could not re-admit for resume")
-		s.abandonProbe(j)
-		s.releaseCost(j)
-
 	case reason != reasonNone:
+		msg := "cancelled: " + reason.String()
 		if reason == reasonStall {
-			s.met.Stalled.Add(1)
+			s.met[cStalled].Add(1)
+			if resumes < 1 && s.checkpointExists(j) {
+				if s.requeueResume(j) {
+					return
+				}
+				msg = "stalled; could not re-admit for resume"
+			}
 		}
-		s.setCancelled(j, "cancelled: "+reason.String())
-		s.abandonProbe(j)
-		s.releaseCost(j)
+		s.settle(j, cancelled(msg))
+		if s.checkpointExists(j) {
+			s.cfg.Logf("serve: %s cancelled; checkpoint retained for resume", j.id)
+		} else {
+			s.cfg.Logf("serve: %s cancelled", j.id)
+		}
 
 	default:
-		if any := s.degradedFallback(j, res, nil); any != nil {
-			s.settleDegraded(j, res, any)
-			s.brk.onSuccess(bkey)
-			s.releaseCost(j)
-			s.removeCheckpoint(j)
-			s.cfg.Logf("serve: %s done (degraded: %s)", j.id, any.Tier)
-			return
-		}
-		j.mu.Lock()
-		j.state = stateDone
-		if res != nil && res.Best != nil {
-			stopped := res.Stopped.String()
-			if j.cacheOutcome == "hit" {
-				stopped = "cache-hit"
-			}
-			j.summary = &jobSummary{
-				PeakMemBytes:    res.Best.PeakMem,
-				LatencySec:      res.Best.Latency,
-				Iterations:      res.Stats.Iterations,
-				Stopped:         stopped,
-				Verified:        j.verified,
-				Cache:           j.cacheOutcome,
-				DegradedStorage: j.degradedStorage,
-			}
-		}
-		j.mu.Unlock()
-		s.met.Completed.Add(1)
-		s.brk.onSuccess(bkey)
-		s.releaseCost(j)
+		any := s.degradedFallback(j, res, nil)
+		s.settle(j, j.done(res, any, verdictSuccess))
 		s.removeCheckpoint(j)
-		s.cfg.Logf("serve: %s done", j.id)
+		if any != nil {
+			s.cfg.Logf("serve: %s done (degraded: %s)", j.id, any.Tier)
+		} else {
+			s.cfg.Logf("serve: %s done", j.id)
+		}
 	}
 }
 
-// settleDegraded finishes a job as done with a degraded anytime summary:
-// the served plan is a fallback tier, labeled as such, never passed off as
-// a converged result.
-func (s *Server) settleDegraded(j *job, res *opt.Result, any *robust.Anytime) {
+// done is the outcome of a job that settles with an answer: the search's
+// best plan, or — when any is non-nil — a degraded anytime summary: the
+// served plan is a fallback tier, labeled as such, never passed off as a
+// converged result.
+func (j *job) done(res *opt.Result, any *robust.Anytime, v verdict) outcome {
+	o := outcome{state: stateDone, counter: cCompleted, verdict: v}
+	if any == nil && (res == nil || res.Best == nil) {
+		return o
+	}
 	j.mu.Lock()
-	j.state = stateDone
-	j.err = ""
-	sum := &jobSummary{
-		Stopped:         "deadline",
-		Verified:        any.Verified,
-		Cache:           j.cacheOutcome,
-		Degraded:        true,
-		DegradedTier:    any.Tier,
-		DegradedStorage: j.degradedStorage,
-	}
-	if any.State != nil {
-		sum.PeakMemBytes = any.State.PeakMem
-		sum.LatencySec = any.State.Latency
-	}
+	defer j.mu.Unlock()
+	sum := &jobSummary{Verified: j.verified, Cache: j.cacheOutcome, DegradedStorage: j.degradedStorage}
 	if res != nil {
 		sum.Iterations = res.Stats.Iterations
-		if res.Stopped != opt.StopUnknown {
-			sum.Stopped = res.Stopped.String()
+		sum.Stopped = res.Stopped.String()
+	}
+	switch {
+	case any != nil:
+		sum.Verified, sum.Degraded, sum.DegradedTier = any.Verified, true, any.Tier
+		if res == nil || res.Stopped == opt.StopUnknown {
+			sum.Stopped = "deadline"
+		}
+		if any.State != nil {
+			sum.PeakMemBytes, sum.LatencySec = any.State.PeakMem, any.State.Latency
+		}
+	default:
+		sum.PeakMemBytes, sum.LatencySec = res.Best.PeakMem, res.Best.Latency
+		if j.cacheOutcome == "hit" {
+			sum.Stopped = "cache-hit"
 		}
 	}
-	j.summary = sum
-	j.mu.Unlock()
-	s.met.Completed.Add(1)
-	s.met.Degraded.Add(1)
-}
-
-func (s *Server) setCancelled(j *job, msg string) {
-	j.mu.Lock()
-	j.state = stateCancelled
-	j.err = msg
-	j.mu.Unlock()
-	s.met.Cancelled.Add(1)
-	if s.checkpointExists(j) {
-		s.cfg.Logf("serve: %s cancelled; checkpoint retained for resume", j.id)
-	} else {
-		s.cfg.Logf("serve: %s cancelled", j.id)
-	}
+	o.summary = sum
+	return o
 }
 
 // requeueResume re-admits a stalled job to continue from its checkpoint.
-// Admission stays non-blocking: a full queue or a draining server refuses,
+// Admission stays non-blocking: a full or closed (draining) queue refuses,
 // and the job settles as cancelled-but-resumable instead.
 func (s *Server) requeueResume(j *job) bool {
-	if s.draining.Load() {
-		return false
-	}
 	j.mu.Lock()
 	j.state = stateQueued
 	j.resumePath = s.checkpointPath(j.id)
@@ -558,12 +549,12 @@ func (s *Server) requeueResume(j *job) bool {
 	j.interrupted = reasonNone
 	j.err = ""
 	j.mu.Unlock()
-	if s.queue.push(j) == pushOK {
-		s.met.Resumed.Add(1)
-		s.cfg.Logf("serve: %s stalled; resuming from checkpoint", j.id)
-		return true
+	if s.queue.push(j) != pushOK {
+		return false
 	}
-	return false
+	s.met[cResumed].Add(1)
+	s.cfg.Logf("serve: %s stalled; resuming from checkpoint", j.id)
+	return true
 }
 
 // searchJob is the production searchFn: fresh jobs build their workload and
@@ -579,7 +570,7 @@ func (s *Server) searchJob(ctx context.Context, j *job) (*opt.Result, error) {
 	}
 	onExp := func(completed int) {
 		j.progress(completed)
-		s.met.Expansions.Add(1)
+		s.met[cExpansions].Add(1)
 	}
 	if path := j.resumeFrom(); path != "" {
 		res, err := opt.Resume(ctx, path, s.cfg.Model, func(o *opt.Options) {
@@ -716,7 +707,7 @@ func (s *Server) quarantineCheckpoint(name string, cause error) {
 		s.cfg.Logf("serve: quarantining checkpoint %s: %v (cause: %v)", name, err, cause)
 		return
 	}
-	s.met.CkptQuarantined.Add(1)
+	s.met[cCkptQuarantined].Add(1)
 	s.cfg.Logf("serve: quarantined unreadable checkpoint %s -> %s: %v", name, dst, cause)
 }
 
@@ -743,7 +734,7 @@ func (s *Server) gcCheckpoints(names []string) []string {
 			s.cfg.Logf("serve: checkpoint gc (%s): %v", why, err)
 			return
 		}
-		s.met.CkptGCed.Add(1)
+		s.met[cCkptGCed].Add(1)
 		s.cfg.Logf("serve: gc'd orphaned checkpoint %s (%s)", o.name, why)
 	}
 	for _, name := range names {
@@ -851,8 +842,8 @@ func (s *Server) recoverCheckpoints() int {
 		s.mu.Unlock()
 		s.holdCost(j)
 		if s.queue.push(j) == pushOK {
-			s.met.Admitted.Add(1)
-			s.met.Resumed.Add(1)
+			s.met[cAdmitted].Add(1)
+			s.met[cResumed].Add(1)
 			s.cfg.Logf("serve: recovered %s (%s, %d expansions so far)", id, info.Label, info.Iterations)
 			n++
 		} else {

@@ -7,10 +7,7 @@ package serve
 // reject-on-full admission decision — and supports the shedding sweeps
 // the overload layer runs (removing doomed jobs, evicting a victim to
 // make room for more urgent work).
-import (
-	"sync"
-	"time"
-)
+import "sync"
 
 type jobQueue struct {
 	mu    sync.Mutex
@@ -27,13 +24,15 @@ type jobQueue struct {
 
 // pushVerdict is push's admission decision: the queue distinguishes "no
 // room for anyone" from "no room for *this client*" because the two
-// reject with different reasons and only the former justifies eviction.
+// reject with different reasons and only the former justifies eviction,
+// and both from a closed (draining) queue, which admits nobody.
 type pushVerdict int
 
 const (
 	pushOK pushVerdict = iota
 	pushFull
 	pushClientFull
+	pushClosed
 )
 
 func newJobQueue(limit, clientCap int) *jobQueue {
@@ -61,13 +60,16 @@ func edfBefore(a, b *job) bool {
 }
 
 // push admits j, keeping EDF order. It rejects — without blocking — when
-// the queue is full or closed, or when j's client already holds its full
+// the queue is closed or full, or when j's client already holds its full
 // per-client allotment of slots. Queue depths are small (tens), so an
 // ordered insert and a linear client count beat heap bookkeeping.
 func (q *jobQueue) push(j *job) pushVerdict {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if q.closed || len(q.items) >= q.limit {
+	if q.closed {
+		return pushClosed
+	}
+	if len(q.items) >= q.limit {
 		return pushFull
 	}
 	if q.clientCap > 0 && j.client != "" {
@@ -110,21 +112,17 @@ func (q *jobQueue) pop() (*job, bool) {
 	return j, true
 }
 
-// close stops pops permanently. Remaining items are left for drainAll, so
-// a drain can settle them as cancelled instead of silently dropping them.
-func (q *jobQueue) close() {
+// close stops pushes and pops permanently and returns everything still
+// queued, in one critical section: a job is either in the returned slice
+// (admitted, for the caller to settle) or its push saw pushClosed (never
+// admitted). Workers see closed-and-empty and exit.
+func (q *jobQueue) close() []*job {
 	q.mu.Lock()
 	q.closed = true
-	q.mu.Unlock()
-	q.cond.Broadcast()
-}
-
-// drainAll removes and returns everything queued.
-func (q *jobQueue) drainAll() []*job {
-	q.mu.Lock()
-	defer q.mu.Unlock()
 	out := q.items
 	q.items = nil
+	q.mu.Unlock()
+	q.cond.Broadcast()
 	return out
 }
 
@@ -179,14 +177,3 @@ func (q *jobQueue) Len() int {
 }
 
 func (q *jobQueue) Cap() int { return q.limit }
-
-// nextDeadline reports the earliest queued deadline (zero time when the
-// queue is empty or deadline-less); Retry-After hints use it.
-func (q *jobQueue) nextDeadline() time.Time {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if len(q.items) == 0 {
-		return time.Time{}
-	}
-	return q.items[0].deadline
-}

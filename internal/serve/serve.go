@@ -207,62 +207,114 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// metrics are the service-level counters exposed by /metrics.
-type metrics struct {
-	Admitted         atomic.Int64
-	RejectedFull     atomic.Int64
-	RejectedDraining atomic.Int64
-	RejectedInvalid  atomic.Int64
-	Completed        atomic.Int64
-	Failed           atomic.Int64
-	Cancelled        atomic.Int64
-	Stalled          atomic.Int64
-	Resumed          atomic.Int64
-	Expansions       atomic.Int64
-	// Plan-cache outcomes, counted per job: answered from an exact entry,
-	// missed, warm-started from a near miss, or shared another request's
-	// in-flight search.
-	CacheHits       atomic.Int64
-	CacheMisses     atomic.Int64
-	CacheWarmStarts atomic.Int64
-	FlightShared    atomic.Int64
-	// CkptQuarantined counts restart-recovery checkpoints that failed to
-	// read back and were moved aside.
-	CkptQuarantined atomic.Int64
+// counter indexes the service counters. counterNames gives each one's
+// /metrics key; the plan-cache counters, last in the table, are reported
+// only when a cache is configured.
+type counter int
+
+const (
+	cAdmitted counter = iota
+	cRejectedFull
+	cRejectedDraining
+	cRejectedInvalid
+	cCompleted
+	cFailed
+	cCancelled
+	cStalled
+	cResumed
+	cExpansions
+	// Restart-recovery checkpoints that failed to read back and were moved
+	// aside.
+	cCkptQuarantined
 	// Per-class admissions: how the admission estimator classified each
 	// accepted job against the plan cache.
-	AdmittedHit  atomic.Int64
-	AdmittedWarm atomic.Int64
-	AdmittedCold atomic.Int64
+	cAdmittedHit
+	cAdmittedWarm
+	cAdmittedCold
 	// Overload-protection outcomes: rejections by reason, queued jobs shed
 	// before running, degraded anytime responses, breaker trips.
-	RejectedCost     atomic.Int64
-	RejectedBreaker  atomic.Int64
-	RejectedDeadline atomic.Int64
-	ShedExpired      atomic.Int64
-	ShedEvicted      atomic.Int64
-	Degraded         atomic.Int64
-	BreakerTrips     atomic.Int64
+	cRejectedCost
+	cRejectedBreaker
+	cRejectedDeadline
+	cShedExpired
+	cShedEvicted
+	cDegraded
+	cBreakerTrips
 	// Storage-robustness outcomes: persistence faults observed, jobs run
 	// with persistence disabled, successful recovery probes, and orphaned
 	// checkpoints garbage-collected at restart.
-	StorageFaults       atomic.Int64
-	StorageDegradedJobs atomic.Int64
-	StorageRecoveries   atomic.Int64
-	CkptGCed            atomic.Int64
+	cStorageFaults
+	cStorageDegradedJobs
+	cStorageRecoveries
+	cCkptGCed
 	// Memory-governor outcomes across all searches: runs stopped at the
 	// budget and frontier states shed.
-	GovernorStops   atomic.Int64
-	GovernorEvicted atomic.Int64
+	cGovernorStops
+	cGovernorEvicted
 	// Hostile-traffic outcomes: oversized bodies, graphs rejected at
 	// ingestion, search bombs caught by the preflight, and per-client
 	// fairness rejections (rate, fair-share cost, queue occupancy).
-	RejectedTooLarge    atomic.Int64
-	RejectedIngest      atomic.Int64
-	RejectedBomb        atomic.Int64
-	RejectedClientRate  atomic.Int64
-	RejectedClientShare atomic.Int64
-	RejectedClientQueue atomic.Int64
+	cRejectedTooLarge
+	cRejectedIngest
+	cRejectedBomb
+	cRejectedClientRate
+	cRejectedClientShare
+	cRejectedClientQueue
+	// Plan-cache outcomes, counted per job: answered from an exact entry,
+	// missed, warm-started from a near miss, or shared another request's
+	// in-flight search.
+	cCacheHits
+	cCacheMisses
+	cCacheWarmStarts
+	cFlightShared
+	numCounters
+)
+
+var counterNames = [numCounters]string{
+	cAdmitted:            "admitted",
+	cRejectedFull:        "rejected_full",
+	cRejectedDraining:    "rejected_draining",
+	cRejectedInvalid:     "rejected_invalid",
+	cCompleted:           "completed",
+	cFailed:              "failed",
+	cCancelled:           "cancelled",
+	cStalled:             "stalled",
+	cResumed:             "resumed",
+	cExpansions:          "expansions",
+	cCkptQuarantined:     "ckpt_quarantined",
+	cAdmittedHit:         "admitted_hit",
+	cAdmittedWarm:        "admitted_warm",
+	cAdmittedCold:        "admitted_cold",
+	cRejectedCost:        "rejected_cost",
+	cRejectedBreaker:     "rejected_breaker",
+	cRejectedDeadline:    "rejected_deadline",
+	cShedExpired:         "shed_expired",
+	cShedEvicted:         "shed_evicted",
+	cDegraded:            "degraded",
+	cBreakerTrips:        "breaker_trips",
+	cStorageFaults:       "storage_faults",
+	cStorageDegradedJobs: "storage_degraded_jobs",
+	cStorageRecoveries:   "storage_recoveries",
+	cCkptGCed:            "checkpoints_gced",
+	cGovernorStops:       "governor_stops",
+	cGovernorEvicted:     "governor_evicted_states",
+	cRejectedTooLarge:    "rejected_too_large",
+	cRejectedIngest:      "rejected_ingest",
+	cRejectedBomb:        "rejected_bomb",
+	cRejectedClientRate:  "rejected_client_rate",
+	cRejectedClientShare: "rejected_client_share",
+	cRejectedClientQueue: "rejected_client_queue",
+	cCacheHits:           "cache_hits",
+	cCacheMisses:         "cache_misses",
+	cCacheWarmStarts:     "cache_warm_starts",
+	cFlightShared:        "flight_shared",
+}
+
+// admitClass is the per-class admission counter of each plan-cache class.
+var admitClass = [...]counter{
+	plancache.ClassCold: cAdmittedCold,
+	plancache.ClassWarm: cAdmittedWarm,
+	plancache.ClassHit:  cAdmittedHit,
 }
 
 // Server is the service. Create with New, wire Handler into an HTTP
@@ -279,7 +331,7 @@ type Server struct {
 	wg       sync.WaitGroup
 	draining atomic.Bool
 	inFlight atomic.Int64
-	met      metrics
+	met      [numCounters]atomic.Int64
 
 	// costInUse is the admission budget spent: estimated cost units
 	// (milliseconds of predicted service time) held by jobs admitted but
@@ -348,10 +400,14 @@ func (s *Server) Start() int {
 func (s *Server) Drain(ctx context.Context) error {
 	if s.draining.CompareAndSwap(false, true) {
 		close(s.stop)
-		// Settle everything still queued before closing the queue, so the
-		// workers see closed-and-empty and exit instead of popping work.
-		s.flushQueue()
-		s.queue.close()
+		// Closing the queue hands back every queued job — admitted, so each
+		// settles cancelled — and refuses every later push: a request still
+		// in admission is refused 503 draining, never counted here.
+		for _, j := range s.queue.close() {
+			s.settle(j, drainedQueued)
+		}
+		// Running searches are cancelled and settled by their runners. A
+		// job a worker popped but has not started sees draining in runJob.
 		s.mu.Lock()
 		jobs := make([]*job, 0, len(s.jobs))
 		for _, j := range s.jobs {
@@ -359,11 +415,7 @@ func (s *Server) Drain(ctx context.Context) error {
 		}
 		s.mu.Unlock()
 		for _, j := range jobs {
-			if j.interrupt(reasonDrain) {
-				s.met.Cancelled.Add(1)
-				s.abandonProbe(j)
-				s.releaseCost(j)
-			}
+			j.interrupt(reasonDrain)
 		}
 	}
 	done := make(chan struct{})
@@ -373,9 +425,6 @@ func (s *Server) Drain(ctx context.Context) error {
 	}()
 	select {
 	case <-done:
-		// Anything admitted in the instant between the draining check and
-		// the workers exiting is cancelled, not silently stranded.
-		s.flushQueue()
 		return nil
 	case <-ctx.Done():
 		return fmt.Errorf("serve: drain interrupted: %w", ctx.Err())
@@ -526,213 +575,276 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	if s.draining.Load() {
-		s.met.RejectedDraining.Add(1)
-		httpReject(w, http.StatusServiceUnavailable, "draining", "draining: not admitting new jobs")
-		return
-	}
-
-	// The body is untrusted: bound its size before the decoder allocates
-	// anything, and reject unknown fields so a typo'd request fails loudly
-	// instead of silently running with defaults.
-	var req OptimizeRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBody))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			s.met.RejectedTooLarge.Add(1)
-			httpReject(w, http.StatusRequestEntityTooLarge, "too-large",
-				"request body exceeds %d bytes", s.cfg.MaxBody)
-			return
-		}
-		s.met.RejectedInvalid.Add(1)
-		if strings.Contains(err.Error(), "unknown field") {
-			httpReject(w, http.StatusBadRequest, "unknown-field", "bad request body: %v", err)
-		} else {
-			httpReject(w, http.StatusBadRequest, "syntax", "bad request body: %v", err)
-		}
-		return
-	}
-
-	client, err := resolveClient(req.Client, r.Header.Get("X-Magis-Client"))
-	if err != nil {
-		s.met.RejectedInvalid.Add(1)
-		httpReject(w, http.StatusBadRequest, "client", "invalid client identity: %v", err)
-		return
-	}
-
-	budget, wait, err := req.normalize(s.cfg)
-	if err != nil {
-		s.met.RejectedInvalid.Add(1)
-		httpReject(w, http.StatusBadRequest, "invalid", "%v", err)
-		return
-	}
-
-	// Per-client rate limit: the cheapest gate, charged before any
-	// per-request pricing or ingestion work runs on the client's behalf.
-	if ok, after := s.clients.allow(client, time.Now()); !ok {
-		s.met.RejectedClientRate.Add(1)
-		w.Header().Set("Retry-After", fmt.Sprint(after))
-		httpReject(w, http.StatusTooManyRequests, "client-rate",
-			"client %q over its request rate: retry later", client)
-		return
-	}
-
-	// Untrusted graph ingestion: strict decode under structural limits,
-	// then the search-cost preflight. Everything here is bounded by
-	// Config.Ingest, so a hostile document is refused with a structured
-	// reason before it can cost the server anything.
-	var g *graphHolder
-	if len(req.Graph) > 0 {
-		decoded, _, err := ingest.Decode(bytes.NewReader(req.Graph), s.cfg.Ingest)
-		if err == nil {
-			err = ingest.Preflight(decoded, opt.Options{Workers: req.Workers}, s.cfg.Ingest)
-		}
-		if err != nil {
-			ie := ingest.AsError(err)
-			code, reason := http.StatusBadRequest, "ingest"
-			if ie != nil {
-				code, reason = ie.HTTPStatus(), string(ie.Reason)
-			}
-			switch {
-			case code == http.StatusRequestEntityTooLarge:
-				s.met.RejectedTooLarge.Add(1)
-			case ie != nil && ie.Reason == ingest.ReasonSearchBomb:
-				s.met.RejectedBomb.Add(1)
-			default:
-				s.met.RejectedIngest.Add(1)
-			}
-			httpReject(w, code, reason, "graph rejected: %v", err)
-			return
-		}
-		g = &graphHolder{g: decoded}
-	}
-
-	// Circuit breaker: a workload that keeps failing is rejected outright
-	// (except the half-open probe) so it cannot monopolize workers. A
-	// request admitted here as the probe owns the half-open slot from this
-	// point on: every later rejection path must hand the slot back
-	// (abandonProbe), or the breaker stays wedged waiting on a probe that
-	// never ran. Graph submissions key the breaker by content hash, so a
-	// poison graph resubmitted verbatim trips its own breaker.
-	wlname := req.Model
-	if g != nil {
-		wlname = graphWorkloadName(g.g)
-	}
-	bkey := breakerKey(wlname, req.Scale, req.Mode)
-	after, open, probe := s.brk.blocked(bkey, time.Now())
-	if open {
-		s.met.RejectedBreaker.Add(1)
-		w.Header().Set("Retry-After", fmt.Sprint(after))
-		httpReject(w, http.StatusServiceUnavailable, "breaker",
-			"workload %s is circuit-broken after repeated failures: retry later", bkey)
-		return
-	}
-
-	j := s.newJob(req, budget, client, g.graph())
-	j.probe = probe
-	if wait > 0 {
-		j.deadline = j.created.Add(wait)
-	}
-	if err := s.estimateJob(j); err != nil {
-		s.abandonProbe(j)
-		s.forget(j)
-		s.met.RejectedInvalid.Add(1)
-		httpReject(w, http.StatusBadRequest, "invalid", "%v", err)
-		return
-	}
-
-	// Doomed on arrival: the deadline cannot be met even if a worker were
-	// free right now — shed at the door, before any queue slot is spent.
-	if doomed(j, time.Now()) {
-		s.abandonProbe(j)
-		s.forget(j)
-		s.met.RejectedDeadline.Add(1)
-		httpReject(w, http.StatusUnprocessableEntity, "deadline",
-			"deadline %v is below the minimum feasible service time %v", wait, j.minServe)
-		return
-	}
-
-	// Resource-aware admission: the job's estimated cost must fit both the
-	// client's fair share and the global concurrent-cost budget. Reserve
-	// first, check after — holdCost's serialized adds mean concurrent
-	// arrivals cannot all read the same pre-reservation total and jointly
-	// overshoot either budget. The one deliberate exception survives at
-	// both levels: an otherwise idle server (or idle client) admits one
-	// job regardless of size, so an oversized request degrades to
-	// one-at-a-time service instead of permanent rejection.
-	budgetUnits := costUnits(s.cfg.AdmitBudget)
-	tot := s.holdCost(j)
-	if share := s.clients.share(); share > 0 && tot.clientHeld > share && tot.clientHeld != j.estUnits {
-		s.releaseCost(j)
-		s.abandonProbe(j)
-		s.forget(j)
-		s.met.RejectedClientShare.Add(1)
-		s.clients.note(client, clientRejShare)
-		w.Header().Set("Retry-After", fmt.Sprint(s.retryAfter()))
-		httpReject(w, http.StatusTooManyRequests, "client-share",
-			"client %q over its fair share (%dms held + %dms requested > %dms): retry later",
-			client, tot.clientHeld-j.estUnits, j.estUnits, share)
-		return
-	}
-	if tot.total > budgetUnits && tot.total != j.estUnits {
-		s.releaseCost(j)
-		s.abandonProbe(j)
-		s.forget(j)
-		s.met.RejectedCost.Add(1)
-		w.Header().Set("Retry-After", fmt.Sprint(s.retryAfter()))
-		httpReject(w, http.StatusTooManyRequests, "budget",
-			"admission budget exhausted (%dms held + %dms requested > %dms): retry later",
-			tot.total-j.estUnits, j.estUnits, budgetUnits)
-		return
-	}
-
-	// Non-blocking admission: a full queue sheds (expired first, then the
-	// cheapest laxer victim for deadline-urgent work) or rejects before
-	// any search starts, so overload never builds an unbounded backlog.
-	// The cost hold already landed above: once queued, a worker may
-	// settle (and release) the job at any moment. A per-client occupancy
-	// rejection is the client's own doing and evicts nobody.
-	switch s.admitQueued(j) {
-	case pushClientFull:
-		s.releaseCost(j)
-		s.abandonProbe(j)
-		s.forget(j)
-		s.met.RejectedClientQueue.Add(1)
-		s.clients.note(client, clientRejQueue)
-		w.Header().Set("Retry-After", fmt.Sprint(s.retryAfter()))
-		httpReject(w, http.StatusTooManyRequests, "client-queue",
-			"client %q holds its full queue allotment (%d): retry later", client, s.cfg.ClientQueue)
-		return
-	case pushFull:
-		s.releaseCost(j)
-		s.abandonProbe(j)
-		s.forget(j)
-		s.met.RejectedFull.Add(1)
-		w.Header().Set("Retry-After", fmt.Sprint(s.retryAfter()))
-		httpReject(w, http.StatusTooManyRequests, "queue-full",
-			"queue full (%d queued): retry later", s.cfg.QueueDepth)
-		return
-	}
-	s.met.Admitted.Add(1)
-	s.admitClass(j.class)
-	s.clients.note(client, clientAdmitted)
-	s.cfg.Logf("serve: admitted %s (%s, client %s, budget %v, class %s, est %v)",
-		j.id, j.workloadName(), client, budget, j.class, j.estServe)
-	w.Header().Set("Location", "/jobs/"+j.id)
-	writeJSON(w, http.StatusAccepted, s.jobView(j))
+	s.admit(&admission{w: w, r: r}, admissionGates...)
 }
 
-// graphHolder lets the graph-vs-model branches above share one nilable
-// handle without sprinkling nil checks on a typed *graph.Graph.
-type graphHolder struct{ g *graph.Graph }
+// admission is one /optimize request on its way through the gates: what
+// the gates so far decoded and decided, and what the request holds — a
+// breaker probe slot, a registered job and its cost hold — that a later
+// refusal must give back.
+type admission struct {
+	w      http.ResponseWriter
+	r      *http.Request
+	req    OptimizeRequest
+	client string
+	budget time.Duration
+	wait   time.Duration // client deadline from admission (0 = none)
+	g      *graph.Graph  // ingested graph of a direct graph submission
+	bkey   string
+	probe  bool // holds bkey's half-open probe slot
+	j      *job
+}
 
-func (h *graphHolder) graph() *graph.Graph {
-	if h == nil {
+// refusal is a gate's verdict against a request: the status and stable
+// reason code the client sees, the counter it moves, and a Retry-After
+// in seconds (0 = none; retryBacklog = derived from the work still held
+// once the request's own hold is returned).
+type refusal struct {
+	code       int
+	reason     string
+	counter    counter
+	retryAfter int
+	msg        string
+}
+
+const retryBacklog = -1
+
+func reject(code int, reason string, c counter, format string, args ...any) *refusal {
+	return &refusal{code: code, reason: reason, counter: c, msg: fmt.Sprintf(format, args...)}
+}
+
+func (rf *refusal) retry(sec int) *refusal {
+	rf.retryAfter = sec
+	return rf
+}
+
+func rejectDraining() *refusal {
+	return reject(http.StatusServiceUnavailable, "draining", cRejectedDraining, "draining: not admitting new jobs")
+}
+
+// gate is one admission check: nil passes the request on, a refusal ends it.
+type gate func(*Server, *admission) *refusal
+
+// admissionGates is the order handleOptimize checks a request in: the
+// cheap checks first, then the ones that cost the server work (ingestion,
+// pricing), then the ones that spend admission budget and queue slots.
+var admissionGates = []gate{
+	(*Server).gateDraining,
+	(*Server).gateDecode,
+	(*Server).gateRate,
+	(*Server).gateIngest,
+	(*Server).gateBreaker,
+	(*Server).gatePrice,
+	(*Server).gateDeadline,
+	(*Server).gateCost,
+	(*Server).gateQueue,
+}
+
+// admit runs a request through gates in order. The first refusal is
+// written by refuse; a request that passes them all has been queued and
+// is answered 202 with its job view.
+func (s *Server) admit(a *admission, gates ...gate) {
+	for _, g := range gates {
+		if rf := g(s, a); rf != nil {
+			s.refuse(a, rf)
+			return
+		}
+	}
+	j := a.j
+	s.met[cAdmitted].Add(1)
+	s.met[admitClass[j.class]].Add(1)
+	s.clients.note(j.client, clientAdmitted)
+	s.cfg.Logf("serve: admitted %s (%s, client %s, budget %v, class %s, est %v)",
+		j.id, j.workloadName(), j.client, j.budget, j.class, j.estServe)
+	a.w.Header().Set("Location", "/jobs/"+j.id)
+	writeJSON(a.w, http.StatusAccepted, s.jobView(j))
+}
+
+// refuse is the one refusal path: it returns whatever the request holds —
+// the cost hold, the job registration, the breaker probe slot — then
+// counts and writes the refusal with its machine-readable reason.
+func (s *Server) refuse(a *admission, rf *refusal) {
+	if a.j != nil {
+		s.releaseCost(a.j)
+		s.forget(a.j)
+	}
+	if a.probe {
+		s.brk.onAbandon(a.bkey)
+	}
+	s.met[rf.counter].Add(1)
+	if rf.retryAfter == retryBacklog {
+		rf.retryAfter = s.retryAfter()
+	}
+	if rf.retryAfter > 0 {
+		a.w.Header().Set("Retry-After", fmt.Sprint(rf.retryAfter))
+	}
+	writeJSON(a.w, rf.code, map[string]string{"error": rf.msg, "reason": rf.reason})
+}
+
+func (s *Server) gateDraining(a *admission) *refusal {
+	if s.draining.Load() {
+		return rejectDraining()
+	}
+	return nil
+}
+
+// gateDecode reads the untrusted body — bounded before the decoder
+// allocates anything, unknown fields rejected so a typo'd request fails
+// loudly instead of silently running with defaults — then resolves the
+// client identity and the request's defaults.
+func (s *Server) gateDecode(a *admission) *refusal {
+	dec := json.NewDecoder(http.MaxBytesReader(a.w, a.r.Body, s.cfg.MaxBody))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&a.req); err != nil {
+		var tooBig *http.MaxBytesError
+		switch {
+		case errors.As(err, &tooBig):
+			return reject(http.StatusRequestEntityTooLarge, "too-large", cRejectedTooLarge,
+				"request body exceeds %d bytes", s.cfg.MaxBody)
+		case strings.Contains(err.Error(), "unknown field"):
+			return reject(http.StatusBadRequest, "unknown-field", cRejectedInvalid, "bad request body: %v", err)
+		default:
+			return reject(http.StatusBadRequest, "syntax", cRejectedInvalid, "bad request body: %v", err)
+		}
+	}
+	var err error
+	if a.client, err = resolveClient(a.req.Client, a.r.Header.Get("X-Magis-Client")); err != nil {
+		return reject(http.StatusBadRequest, "client", cRejectedInvalid, "invalid client identity: %v", err)
+	}
+	if a.budget, a.wait, err = a.req.normalize(s.cfg); err != nil {
+		return reject(http.StatusBadRequest, "invalid", cRejectedInvalid, "%v", err)
+	}
+	return nil
+}
+
+// gateRate charges the client's token bucket: the cheapest per-client
+// gate, before any pricing or ingestion work runs on the client's behalf.
+func (s *Server) gateRate(a *admission) *refusal {
+	if ok, after := s.clients.allow(a.client, time.Now()); !ok {
+		return reject(http.StatusTooManyRequests, "client-rate", cRejectedClientRate,
+			"client %q over its request rate: retry later", a.client).retry(after)
+	}
+	return nil
+}
+
+// gateIngest decodes an untrusted graph document strictly under
+// structural limits, then runs the search-cost preflight. Everything here
+// is bounded by Config.Ingest, so a hostile document is refused with a
+// structured reason before it can cost the server anything.
+func (s *Server) gateIngest(a *admission) *refusal {
+	if len(a.req.Graph) == 0 {
 		return nil
 	}
-	return h.g
+	g, _, err := ingest.Decode(bytes.NewReader(a.req.Graph), s.cfg.Ingest)
+	if err == nil {
+		err = ingest.Preflight(g, opt.Options{Workers: a.req.Workers}, s.cfg.Ingest)
+	}
+	if err == nil {
+		a.g = g
+		return nil
+	}
+	code, reason, c := http.StatusBadRequest, "ingest", cRejectedIngest
+	if ie := ingest.AsError(err); ie != nil {
+		code, reason = ie.HTTPStatus(), string(ie.Reason)
+		if ie.Reason == ingest.ReasonSearchBomb {
+			c = cRejectedBomb
+		}
+	}
+	if code == http.StatusRequestEntityTooLarge {
+		c = cRejectedTooLarge
+	}
+	return reject(code, reason, c, "graph rejected: %v", err)
+}
+
+// gateBreaker refuses a workload that keeps failing, so it cannot
+// monopolize workers — except the half-open probe, whose slot this
+// request then holds until its job settles or a later gate refuses it.
+// Graph submissions key the breaker by content hash, so a poison graph
+// resubmitted verbatim trips its own breaker.
+func (s *Server) gateBreaker(a *admission) *refusal {
+	wl := a.req.Model
+	if a.g != nil {
+		wl = graphWorkloadName(a.g)
+	}
+	a.bkey = breakerKey(wl, a.req.Scale, a.req.Mode)
+	after, open, probe := s.brk.blocked(a.bkey, time.Now())
+	if open {
+		return reject(http.StatusServiceUnavailable, "breaker", cRejectedBreaker,
+			"workload %s is circuit-broken after repeated failures: retry later", a.bkey).retry(after)
+	}
+	a.probe = probe
+	return nil
+}
+
+// gatePrice registers the job and prices it (estimateJob).
+func (s *Server) gatePrice(a *admission) *refusal {
+	j := s.newJob(a.req, a.budget, a.client, a.g)
+	a.j = j
+	j.probe = a.probe
+	if a.wait > 0 {
+		j.deadline = j.created.Add(a.wait)
+	}
+	if err := s.estimateJob(j); err != nil {
+		return reject(http.StatusBadRequest, "invalid", cRejectedInvalid, "%v", err)
+	}
+	return nil
+}
+
+// gateDeadline refuses a job doomed on arrival: its deadline cannot be
+// met even if a worker were free right now, so it is shed at the door
+// before any queue slot is spent.
+func (s *Server) gateDeadline(a *admission) *refusal {
+	if doomed(a.j, time.Now()) {
+		return reject(http.StatusUnprocessableEntity, "deadline", cRejectedDeadline,
+			"deadline %v is below the minimum feasible service time %v", a.wait, a.j.minServe)
+	}
+	return nil
+}
+
+// gateCost is resource-aware admission: the job's estimated cost must fit
+// both the client's fair share and the global concurrent-cost budget.
+// Reserve first, check after — holdCost's serialized adds mean concurrent
+// arrivals cannot all read the same pre-reservation total and jointly
+// overshoot either budget. The one deliberate exception survives at both
+// levels: an otherwise idle server (or idle client) admits one job
+// regardless of size, so an oversized request degrades to one-at-a-time
+// service instead of permanent rejection.
+func (s *Server) gateCost(a *admission) *refusal {
+	j := a.j
+	tot := s.holdCost(j)
+	if share := s.clients.share(); share > 0 && tot.clientHeld > share && tot.clientHeld != j.estUnits {
+		s.clients.note(j.client, clientRejShare)
+		return reject(http.StatusTooManyRequests, "client-share", cRejectedClientShare,
+			"client %q over its fair share (%dms held + %dms requested > %dms): retry later",
+			j.client, tot.clientHeld-j.estUnits, j.estUnits, share).retry(retryBacklog)
+	}
+	if budget := costUnits(s.cfg.AdmitBudget); tot.total > budget && tot.total != j.estUnits {
+		return reject(http.StatusTooManyRequests, "budget", cRejectedCost,
+			"admission budget exhausted (%dms held + %dms requested > %dms): retry later",
+			tot.total-j.estUnits, j.estUnits, budget).retry(retryBacklog)
+	}
+	return nil
+}
+
+// gateQueue queues the job without blocking: a full queue sheds (expired
+// first, then the cheapest laxer victim for deadline-urgent work) or
+// refuses before any search starts, so overload never builds an unbounded
+// backlog. Once queued, a worker may settle the job at any moment. A
+// per-client occupancy refusal is the client's own doing and evicts
+// nobody; a closed queue means Drain got there first.
+func (s *Server) gateQueue(a *admission) *refusal {
+	switch s.admitQueued(a.j) {
+	case pushClientFull:
+		s.clients.note(a.client, clientRejQueue)
+		return reject(http.StatusTooManyRequests, "client-queue", cRejectedClientQueue,
+			"client %q holds its full queue allotment (%d): retry later", a.client, s.cfg.ClientQueue).retry(retryBacklog)
+	case pushFull:
+		return reject(http.StatusTooManyRequests, "queue-full", cRejectedFull,
+			"queue full (%d queued): retry later", s.cfg.QueueDepth).retry(retryBacklog)
+	case pushClosed:
+		return rejectDraining()
+	}
+	return nil
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
@@ -778,76 +890,31 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	out := map[string]any{
-		"admitted":          s.met.Admitted.Load(),
-		"rejected_full":     s.met.RejectedFull.Load(),
-		"rejected_draining": s.met.RejectedDraining.Load(),
-		"rejected_invalid":  s.met.RejectedInvalid.Load(),
-		"completed":         s.met.Completed.Load(),
-		"failed":            s.met.Failed.Load(),
-		"cancelled":         s.met.Cancelled.Load(),
-		"stalled":           s.met.Stalled.Load(),
-		"resumed":           s.met.Resumed.Load(),
-		"expansions":        s.met.Expansions.Load(),
-		"in_flight":         s.inFlight.Load(),
-		"queue_depth":       int64(s.queue.Len()),
-		"ckpt_quarantined":  s.met.CkptQuarantined.Load(),
-		// Overload-protection counters.
-		"admitted_hit":      s.met.AdmittedHit.Load(),
-		"admitted_warm":     s.met.AdmittedWarm.Load(),
-		"admitted_cold":     s.met.AdmittedCold.Load(),
-		"rejected_cost":     s.met.RejectedCost.Load(),
-		"rejected_breaker":  s.met.RejectedBreaker.Load(),
-		"rejected_deadline": s.met.RejectedDeadline.Load(),
-		"shed_expired":      s.met.ShedExpired.Load(),
-		"shed_evicted":      s.met.ShedEvicted.Load(),
-		"degraded":          s.met.Degraded.Load(),
-		"breaker_trips":     s.met.BreakerTrips.Load(),
-		"breaker_open":      int64(s.brk.openCount()),
-		"cost_in_use_ms":    s.costInUse.Load(),
-		"cost_budget_ms":    costUnits(s.cfg.AdmitBudget),
-		// Storage-robustness and memory-governor counters.
-		"storage_state":           s.storage.current(),
-		"storage_faults":          s.met.StorageFaults.Load(),
-		"storage_degraded_jobs":   s.met.StorageDegradedJobs.Load(),
-		"storage_recoveries":      s.met.StorageRecoveries.Load(),
-		"checkpoints_gced":        s.met.CkptGCed.Load(),
-		"governor_stops":          s.met.GovernorStops.Load(),
-		"governor_evicted_states": s.met.GovernorEvicted.Load(),
-		// Hostile-traffic counters.
-		"rejected_too_large":    s.met.RejectedTooLarge.Load(),
-		"rejected_ingest":       s.met.RejectedIngest.Load(),
-		"rejected_bomb":         s.met.RejectedBomb.Load(),
-		"rejected_client_rate":  s.met.RejectedClientRate.Load(),
-		"rejected_client_share": s.met.RejectedClientShare.Load(),
-		"rejected_client_queue": s.met.RejectedClientQueue.Load(),
+		"in_flight":      s.inFlight.Load(),
+		"queue_depth":    s.queue.Len(),
+		"breaker_open":   s.brk.openCount(),
+		"cost_in_use_ms": s.costInUse.Load(),
+		"cost_budget_ms": costUnits(s.cfg.AdmitBudget),
+		"storage_state":  s.storage.current(),
 	}
-	if s.clients.enabled() {
-		out["clients"] = s.clients.snapshot()
-	}
+	n := cCacheHits
 	if s.cfg.Cache != nil {
-		out["cache_hits"] = s.met.CacheHits.Load()
-		out["cache_misses"] = s.met.CacheMisses.Load()
-		out["cache_warm_starts"] = s.met.CacheWarmStarts.Load()
-		out["flight_shared"] = s.met.FlightShared.Load()
+		n = numCounters
 		out["cache"] = s.cfg.Cache.Stats()
 		out["cache_hit_latency_sec"] = s.hitLat.percentiles()
 		out["cache_miss_latency_sec"] = s.missLat.percentiles()
+	}
+	for c := counter(0); c < n; c++ {
+		out[counterNames[c]] = s.met[c].Load()
+	}
+	if s.clients.enabled() {
+		out["clients"] = s.clients.snapshot()
 	}
 	writeJSON(w, http.StatusOK, out)
 }
 
 func httpError(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
-}
-
-// httpReject writes a structured rejection: the human-readable error plus
-// a stable machine-readable reason code clients (and the hostile chaos
-// harness) can branch on without parsing prose.
-func httpReject(w http.ResponseWriter, code int, reason string, format string, args ...any) {
-	writeJSON(w, code, map[string]string{
-		"error":  fmt.Sprintf(format, args...),
-		"reason": reason,
-	})
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

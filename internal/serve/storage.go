@@ -131,7 +131,7 @@ func (h *storageHealth) onAbandon() {
 // noteStorageFault counts one persistence fault against the health
 // machine and logs the transition when it degrades.
 func (s *Server) noteStorageFault(op string, err error) {
-	s.met.StorageFaults.Add(1)
+	s.met[cStorageFaults].Add(1)
 	if s.storage.onFault(time.Now()) {
 		s.cfg.Logf("serve: storage degraded after repeated faults (%s: %v); serving uncached and uncheckpointed", op, err)
 	} else {
@@ -158,7 +158,7 @@ func (s *Server) storageAllowed() bool {
 		return false
 	}
 	if s.storage.onOK() {
-		s.met.StorageRecoveries.Add(1)
+		s.met[cStorageRecoveries].Add(1)
 		s.cfg.Logf("serve: storage recovered after successful probe")
 	}
 	return true
@@ -196,9 +196,9 @@ func (s *Server) noteSearchTelemetry(res *opt.Result) {
 		}
 	}
 	if g := res.Governor; g != nil {
-		s.met.GovernorEvicted.Add(int64(g.EvictedStates))
+		s.met[cGovernorEvicted].Add(int64(g.EvictedStates))
 		if res.Stopped == opt.StopMemBudget {
-			s.met.GovernorStops.Add(1)
+			s.met[cGovernorStops].Add(1)
 		}
 	}
 }

@@ -281,7 +281,7 @@ func TestCheckpointGCOnRestart(t *testing.T) {
 	}
 	defer drainServer(t, s)
 
-	if got := s.met.CkptGCed.Load(); got != 3 {
+	if got := s.met[cCkptGCed].Load(); got != 3 {
 		t.Errorf("checkpoints_gced = %d, want 3 (2 by age, 1 over cap)", got)
 	}
 	for _, name := range []string{"job-1.ckpt", "job-2.ckpt", "job-3.ckpt"} {
@@ -293,7 +293,7 @@ func TestCheckpointGCOnRestart(t *testing.T) {
 		t.Error("temp debris survived the startup sweep")
 	}
 	// The two survivors are unreadable -> quarantined, not deleted.
-	if got := s.met.CkptQuarantined.Load(); got != 2 {
+	if got := s.met[cCkptQuarantined].Load(); got != 2 {
 		t.Errorf("ckpt_quarantined = %d, want 2", got)
 	}
 	for _, name := range []string{"job-4.ckpt", "job-5.ckpt"} {
