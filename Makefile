@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: build test race bench-core cache-chaos soak-chaos storage-chaos hostile-chaos
+.PHONY: build test race bench-gate cache-chaos soak-chaos storage-chaos hostile-chaos
 
 build:
 	go build ./...
@@ -11,10 +11,11 @@ test:
 race:
 	go test -race ./...
 
-# Runs the BenchmarkCore_* microbenchmarks and writes BENCH_core.json
-# (see scripts/bench_core.sh; BENCHTIME=5x for more stable numbers).
-bench-core:
-	./scripts/bench_core.sh
+# Judges the uncommitted changes against HEAD on the fixed-work search
+# workloads of bench/: five alternating pairs, bounds from BENCHMARK.json
+# (./scripts/bench_gate.sh <rev> compares against another revision).
+bench-gate:
+	./scripts/bench_gate.sh HEAD
 
 # Damages the persistent plan cache in every way a deployment can
 # (bit flips, truncation, junk floods, SIGKILL) against a live server.

@@ -7,8 +7,6 @@ package magis
 // cmd/magis-bench for the full reproduction.
 
 import (
-	"fmt"
-	"runtime"
 	"testing"
 	"time"
 
@@ -137,89 +135,6 @@ func BenchmarkFig16_CaseStudy(b *testing.B) {
 			b.Fatal("missing series")
 		}
 		b.Log("\n" + expr.RenderFig16(series))
-	}
-}
-
-// BenchmarkCore_* microbenchmarks price the building blocks.
-
-func BenchmarkCore_Baseline(b *testing.B) {
-	w := models.UNet(32, 256)
-	m := NewModel(RTX3090())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Baseline(w.G, m)
-	}
-}
-
-// BenchmarkCore_Optimize compares the sequential pipeline against the
-// worker pool on the same fixed time budget: the "evals" metric (schedule
-// evaluations completed per run) is the throughput the parallel pipeline
-// exists to raise, and is comparable across worker counts because the
-// search is deterministic in everything but wall-time.
-func BenchmarkCore_Optimize(b *testing.B) {
-	w := models.UNet(32, 256)
-	m := NewModel(RTX3090())
-	base := Baseline(w.G, m)
-	run := func(b *testing.B, workers int) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			res, err := Optimize(w.G, m, Options{
-				Mode:         MemoryUnderLatency,
-				LatencyLimit: base.Latency * 1.10,
-				TimeBudget:   time.Second,
-				Workers:      workers,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(float64(res.Stats.Sched), "evals")
-		}
-	}
-	b.Run("workers=1", func(b *testing.B) { run(b, 1) })
-	b.Run(fmt.Sprintf("workers=gomaxprocs-%d", runtime.GOMAXPROCS(0)), func(b *testing.B) {
-		run(b, runtime.GOMAXPROCS(0))
-	})
-}
-
-// BenchmarkCore_OptimizeNASNet scales the search benchmark to a >= 500
-// node NASNet-style graph (random cells, wide fan-in) and asserts the
-// Fig. 15 phase breakdown is live: every phase must both run and be
-// timed, so a refactor that silently stops exercising — or stops
-// accounting — transformation, scheduling, or hashing fails here rather
-// than showing up as a too-good throughput number. The phase shares are
-// reported as metrics for bench_compare.sh trend tracking.
-func BenchmarkCore_OptimizeNASNet(b *testing.B) {
-	w := models.RandomNASNet(1, 24, 32, 64, 16)
-	if n := w.G.Len(); n < 500 {
-		b.Fatalf("NASNet case shrank to %d nodes; the large-graph benchmark needs >= 500", n)
-	}
-	m := NewModel(RTX3090())
-	base := Baseline(w.G, m)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		res, err := Optimize(w.G, m, Options{
-			Mode:         MemoryUnderLatency,
-			LatencyLimit: base.Latency * 1.10,
-			TimeBudget:   time.Second,
-			Workers:      1,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		st := res.Stats
-		if st.Trans == 0 || st.Sched == 0 || st.Hash == 0 {
-			b.Fatalf("dead phase: Trans=%d Sched=%d Hash=%d", st.Trans, st.Sched, st.Hash)
-		}
-		if st.TransTime <= 0 || st.SchedTime <= 0 || st.HashTime <= 0 {
-			b.Fatalf("untimed phase: Trans=%v Sched=%v Hash=%v",
-				st.TransTime, st.SchedTime, st.HashTime)
-		}
-		busy := float64(st.TransTime + st.SchedTime + st.SimulTime + st.HashTime)
-		b.ReportMetric(float64(res.Stats.Sched), "evals")
-		b.ReportMetric(100*float64(st.TransTime)/busy, "trans-%")
-		b.ReportMetric(100*float64(st.SchedTime)/busy, "sched-%")
-		b.ReportMetric(100*float64(st.HashTime)/busy, "hash-%")
 	}
 }
 

@@ -117,9 +117,12 @@ func TestFig15Smoke(t *testing.T) {
 	if b.Iterations == 0 || b.Simulations == 0 {
 		t.Fatalf("breakdown empty: %+v", b)
 	}
-	total := b.TransPct + b.SchedPct + b.SimulPct + b.HashPct
-	if total > 101 {
-		t.Errorf("percentages exceed 100: %f", total)
+	if b.OtherPct < 0 {
+		t.Errorf("phases exceed the worker capacity: Other %.1f%%", b.OtherPct)
+	}
+	total := b.TransPct + b.CollapsePct + b.HashPct + b.SchedPct + b.SimulPct + b.FTreePct + b.OtherPct
+	if math.Abs(total-100) > 0.1 {
+		t.Errorf("rows sum to %.2f%%, want 100%%", total)
 	}
 	_ = RenderFig15(b)
 }

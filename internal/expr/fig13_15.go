@@ -97,14 +97,17 @@ func RenderFig13(curves []Fig13Curve) string {
 }
 
 // Fig15Breakdown is the optimization-time cost breakdown of Fig. 15. The
-// phase shares are of worker time: Total × Workers, since the phase
-// timers sum the busy time of every search worker.
+// phase shares are of worker capacity, Total × Workers, since the phase
+// timers sum the busy time of every search worker; OtherPct is the rest
+// of that capacity (queue and merge bookkeeping, idle workers), so the
+// shares sum to 100.
 type Fig15Breakdown struct {
 	Total                           time.Duration
 	Workers                         int
 	Stats                           opt.Stats
 	TransPct, SchedPct, SimulPct    float64
-	HashPct                         float64
+	HashPct, CollapsePct, FTreePct  float64
+	OtherPct                        float64
 	FilteredShare                   float64
 	Iterations, Transformations     int
 	Schedules, Simulations, HashOps int
@@ -141,6 +144,9 @@ func Fig15(cfg Config, w *models.Workload) Fig15Breakdown {
 	out.SchedPct = pct(s.SchedTime)
 	out.SimulPct = pct(s.SimulTime)
 	out.HashPct = pct(s.HashTime)
+	out.CollapsePct = pct(s.CollapseTime)
+	out.FTreePct = pct(s.FTreeTime)
+	out.OtherPct = 100 - pct(s.PhaseTime())
 	if s.Trans > 0 {
 		out.FilteredShare = float64(s.Filtered) / float64(s.Trans)
 	}
@@ -158,11 +164,18 @@ func RenderFig15(b Fig15Breakdown) string {
 	sb.WriteString("== Fig 15: optimization time breakdown (ViT) ==\n")
 	fmt.Fprintf(&sb, "total %v over %d iterations, %d worker(s); shares are of worker time\n",
 		b.Total.Round(time.Millisecond), b.Iterations, b.Workers)
-	fmt.Fprintf(&sb, "%-10s count=%6d  time=%8v (%4.1f%%)\n", "Trans.", b.Transformations, b.Stats.TransTime.Round(time.Millisecond), b.TransPct)
-	fmt.Fprintf(&sb, "%-10s count=%6d  time=%8v (%4.1f%%)\n", "Sched.", b.Schedules, b.Stats.SchedTime.Round(time.Millisecond), b.SchedPct)
-	fmt.Fprintf(&sb, "%-10s count=%6d  time=%8v (%4.1f%%)\n", "Simul.", b.Simulations, b.Stats.SimulTime.Round(time.Millisecond), b.SimulPct)
-	fmt.Fprintf(&sb, "%-10s count=%6d  time=%8v (%4.1f%%)\n", "Hash", b.HashOps, b.Stats.HashTime.Round(time.Millisecond), b.HashPct)
-	fmt.Fprintf(&sb, "%-10s count=%6d (%.0f%% of generated states)\n", "Filtered", b.Stats.Filtered, 100*b.FilteredShare)
-	fmt.Fprintf(&sb, "%-10s count=%6d (incremental splices rescheduled in full)\n", "Fallbacks", b.Stats.SchedFallbacks)
+	st := b.Stats
+	row := func(name string, count any, d time.Duration, pct float64) {
+		fmt.Fprintf(&sb, "%-10s count=%6v  time=%8v (%4.1f%%)\n", name, count, d.Round(time.Millisecond), pct)
+	}
+	row("Trans.", b.Transformations, st.TransTime, b.TransPct)
+	row("Collapse", st.Collapse, st.CollapseTime, b.CollapsePct)
+	row("Hash", b.HashOps, st.HashTime, b.HashPct)
+	row("Sched.", b.Schedules, st.SchedTime, b.SchedPct)
+	row("Simul.", b.Simulations, st.SimulTime, b.SimulPct)
+	row("F-Tree", "-", st.FTreeTime, b.FTreePct)
+	row("Other", "-", b.Total*time.Duration(b.Workers)-st.PhaseTime(), b.OtherPct)
+	fmt.Fprintf(&sb, "%-10s count=%6d (%.0f%% of generated states)\n", "Filtered", st.Filtered, 100*b.FilteredShare)
+	fmt.Fprintf(&sb, "%-10s count=%6d (incremental splices rescheduled in full)\n", "Fallbacks", st.SchedFallbacks)
 	return sb.String()
 }

@@ -9,22 +9,22 @@ import (
 
 // benchState builds an evaluated, F-Tree'd state of the benchmark MLP —
 // the parent-state shape neighbors sees on every queue pop.
-func benchState(b *testing.B) (*State, *Result) {
-	b.Helper()
+func benchState(tb testing.TB) (*State, *Result) {
+	tb.Helper()
 	res := &Result{}
 	ev := newEvaluator(model(), false, false, &res.Stats)
 	st := &State{G: fatMLP()}
 	if err := ev.evaluate(st, nil, nil); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	st.FT = ftree.Build(st.G, st.Hot, ftree.Options{})
 	return st, res
 }
 
-// BenchmarkCore_Neighbors prices one expansion's candidate generation,
+// BenchmarkNeighbors prices one expansion's candidate generation,
 // the allocation-heavy half of every search iteration (rule matching,
 // graph clones, copy-on-write F-Trees).
-func BenchmarkCore_Neighbors(b *testing.B) {
+func BenchmarkNeighbors(b *testing.B) {
 	st, res := benchState(b)
 	o := Options{}
 	o.defaults()
@@ -38,9 +38,9 @@ func BenchmarkCore_Neighbors(b *testing.B) {
 	}
 }
 
-// BenchmarkCore_WLHash prices the duplicate filter's graph hash with the
+// BenchmarkWLHash prices the duplicate filter's graph hash with the
 // per-evaluator scratch reuse the search uses.
-func BenchmarkCore_WLHash(b *testing.B) {
+func BenchmarkWLHash(b *testing.B) {
 	g := fatMLP()
 	var hs graph.HashScratch
 	b.ReportAllocs()

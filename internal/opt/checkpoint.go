@@ -471,7 +471,9 @@ func restoreState(rec *stateRec, ev *evaluator) (*State, error) {
 	}
 	s := &State{G: g, FT: ft, stale: rec.Stale}
 	if err := guard("checkpoint", "state collapse", func() error {
-		return ev.collapse(s)
+		eg, regions, err := ev.col.Collapse(s.G, s.FT)
+		s.EvalG, s.regions = eg, regions
+		return err
 	}); err != nil {
 		return nil, fmt.Errorf("opt: checkpoint: state collapse: %w", err)
 	}

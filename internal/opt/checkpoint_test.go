@@ -261,8 +261,9 @@ func TestCheckpointRejectsCorruption(t *testing.T) {
 }
 
 // TestCheckpointWithoutSchedFallbacksResumes keeps checkpoints written
-// before Stats.SchedFallbacks existed readable: a snapshot whose stats
-// lack the field resumes to the same plan as one that has it.
+// before Stats.SchedFallbacks, and before the Collapse and F-Tree phase
+// timers, existed readable: a snapshot whose stats lack those fields
+// resumes to the same plan as one that has them.
 func TestCheckpointWithoutSchedFallbacksResumes(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "search.ckpt")
@@ -273,49 +274,55 @@ func TestCheckpointWithoutSchedFallbacksResumes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload, err := openSnapshot(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var snap map[string]json.RawMessage
-	if err := json.Unmarshal(payload, &snap); err != nil {
-		t.Fatal(err)
-	}
-	var stats map[string]json.RawMessage
-	if err := json.Unmarshal(snap["stats"], &stats); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := stats["SchedFallbacks"]; !ok {
-		t.Fatalf("snapshot stats lack SchedFallbacks: %s", snap["stats"])
-	}
-	delete(stats, "SchedFallbacks")
-	if snap["stats"], err = json.Marshal(stats); err != nil {
-		t.Fatal(err)
-	}
-	if payload, err = json.Marshal(snap); err != nil {
-		t.Fatal(err)
-	}
-	old, err := sealSnapshot(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	oldPath := filepath.Join(dir, "old.ckpt")
-	if err := os.WriteFile(oldPath, old, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
 	extend := func(o *Options) { o.MaxIterations = 12 }
 	want, err := Resume(context.Background(), path, model(), extend)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Resume(context.Background(), oldPath, model(), extend)
-	if err != nil {
-		t.Fatalf("checkpoint without SchedFallbacks: %v", err)
-	}
-	g, w := fingerprint(got), fingerprint(want)
-	if g.bestHash != w.bestHash || g.peakMem != w.peakMem || g.latBits != w.latBits ||
-		g.iterations != w.iterations {
-		t.Errorf("resumed plans differ: %+v vs %+v", g, w)
+	for _, missing := range [][]string{
+		{"SchedFallbacks"},
+		{"SchedFallbacks", "Collapse", "CollapseTime", "FTreeTime"},
+	} {
+		payload, err := openSnapshot(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var snap map[string]json.RawMessage
+		if err := json.Unmarshal(payload, &snap); err != nil {
+			t.Fatal(err)
+		}
+		var stats map[string]json.RawMessage
+		if err := json.Unmarshal(snap["stats"], &stats); err != nil {
+			t.Fatal(err)
+		}
+		for _, field := range missing {
+			if _, ok := stats[field]; !ok {
+				t.Fatalf("snapshot stats lack %s: %s", field, snap["stats"])
+			}
+			delete(stats, field)
+		}
+		if snap["stats"], err = json.Marshal(stats); err != nil {
+			t.Fatal(err)
+		}
+		if payload, err = json.Marshal(snap); err != nil {
+			t.Fatal(err)
+		}
+		old, err := sealSnapshot(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		oldPath := filepath.Join(dir, "old.ckpt")
+		if err := os.WriteFile(oldPath, old, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, err := Resume(context.Background(), oldPath, model(), extend)
+		if err != nil {
+			t.Fatalf("checkpoint without %v: %v", missing, err)
+		}
+		g, w := fingerprint(got), fingerprint(want)
+		if g.bestHash != w.bestHash || g.peakMem != w.peakMem || g.latBits != w.latBits ||
+			g.iterations != w.iterations {
+			t.Errorf("without %v: resumed plans differ: %+v vs %+v", missing, g, w)
+		}
 	}
 }

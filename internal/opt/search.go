@@ -353,7 +353,9 @@ func OptimizeSeeded(ctx context.Context, g *graph.Graph, model *cost.Model, o Op
 	if o.DisableFission {
 		init.FT = &ftree.Tree{}
 	} else if err := guard(ftreeRuleName, "initial F-Tree build", func() error {
+		t := time.Now()
 		init.FT = ftree.Build(init.G, init.Hot, ftOpts)
+		res.Stats.FTreeTime += time.Since(t)
 		return nil
 	}); err != nil {
 		// Degrade to a fission-free search instead of dying.
@@ -531,7 +533,9 @@ func (l *searchLoop) run(ctx context.Context) {
 			if o.DisableFission {
 				s.FT = &ftree.Tree{}
 			} else if err := guard(ftreeRuleName, "tree rebuild", func() error {
+				t := time.Now()
 				s.FT = rebuildTree(s, l.ftOpts)
+				res.Stats.FTreeTime += time.Since(t)
 				return nil
 			}); err != nil {
 				// A state whose tree cannot be re-analyzed still explores

@@ -56,16 +56,26 @@ func (s *State) Summary() string {
 // Stats aggregates the optimization-time breakdown reported in Fig. 15.
 // The phase timers are worker time: with Workers > 1 they sum the busy
 // times of all workers, so their shares are taken of elapsed time ×
-// Workers, not of elapsed time.
+// Workers, not of elapsed time. The phases are disjoint: rule application
+// (Trans), region collapse, WL hashing, scheduling, simulation, and F-Tree
+// construction and re-analysis (FTreeTime, on the search goroutine).
 type Stats struct {
 	Trans, Sched, Simul, Hash, Filtered int
 	TransTime, SchedTime, SimulTime     time.Duration
 	HashTime                            time.Duration
+	Collapse                            int
+	CollapseTime, FTreeTime             time.Duration
 	Iterations                          int
 	Rescheduled                         int // total ops rescheduled incrementally
 	// SchedFallbacks counts incremental reschedules that fell back to a
 	// full ScheduleGraph (see sched.Scheduler.Fallbacks).
 	SchedFallbacks int
+}
+
+// PhaseTime is the sum of every phase timer: the worker time the search
+// accounts for.
+func (s *Stats) PhaseTime() time.Duration {
+	return s.TransTime + s.CollapseTime + s.HashTime + s.SchedTime + s.SimulTime + s.FTreeTime
 }
 
 // add accumulates o into s, merging a worker's shard after a parallel
@@ -80,6 +90,9 @@ func (s *Stats) add(o *Stats) {
 	s.SchedTime += o.SchedTime
 	s.SimulTime += o.SimulTime
 	s.HashTime += o.HashTime
+	s.Collapse += o.Collapse
+	s.CollapseTime += o.CollapseTime
+	s.FTreeTime += o.FTreeTime
 	s.Iterations += o.Iterations
 	s.Rescheduled += o.Rescheduled
 	s.SchedFallbacks += o.SchedFallbacks
@@ -157,7 +170,10 @@ func newEvaluator(model *cost.Model, full, strict bool, stats *Stats) *evaluator
 // collapse fills in EvalG and regions for s (the cheap half of
 // evaluation, sufficient for duplicate hashing).
 func (e *evaluator) collapse(s *State) error {
+	t := time.Now()
 	eg, regions, err := e.col.Collapse(s.G, s.FT)
+	e.stats.Collapse++
+	e.stats.CollapseTime += time.Since(t)
 	if err != nil {
 		return err
 	}

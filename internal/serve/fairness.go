@@ -45,9 +45,24 @@ type clientState struct {
 	held     int64 // admission cost units currently held
 	jobs     int   // unsettled jobs (queued + running)
 	lastSeen time.Time
-	// Counters for /metrics.
-	admitted, settled           int64
-	rejRate, rejShare, rejQueue int64
+	counts   [numClientCounters]int64 // for /metrics
+}
+
+// clientCounter indexes a client's /metrics counters.
+type clientCounter int
+
+const (
+	clientAdmitted clientCounter = iota
+	clientSettled
+	clientRejRate
+	clientRejShare
+	clientRejQueue
+	numClientCounters
+)
+
+// clientCounterNames are the counters' /metrics keys.
+var clientCounterNames = [numClientCounters]string{
+	"admitted", "settled", "rejected_rate", "rejected_share", "rejected_queue",
 }
 
 // clientLedger tracks per-client admission state. A zero-configured
@@ -141,7 +156,7 @@ func (l *clientLedger) allow(name string, now time.Time) (bool, int) {
 	}
 	st.lastFill = now
 	if st.tokens < 1 {
-		st.rejRate++
+		st.counts[clientRejRate]++
 		after := int(math.Ceil((1 - st.tokens) / l.rate))
 		if after < 1 {
 			after = 1
@@ -178,7 +193,7 @@ func (l *clientLedger) release(name string, units int64) {
 	if st, ok := l.clients[name]; ok {
 		st.held -= units
 		st.jobs--
-		st.settled++
+		st.counts[clientSettled]++
 		if st.held < 0 {
 			st.held = 0
 		}
@@ -188,15 +203,6 @@ func (l *clientLedger) release(name string, units int64) {
 	}
 }
 
-// clientCounter names a per-client counter note() can bump.
-type clientCounter int
-
-const (
-	clientAdmitted clientCounter = iota
-	clientRejShare
-	clientRejQueue
-)
-
 // note bumps a per-client counter.
 func (l *clientLedger) note(name string, c clientCounter) {
 	if !l.enabled() {
@@ -204,15 +210,7 @@ func (l *clientLedger) note(name string, c clientCounter) {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	st := l.state(name, time.Now())
-	switch c {
-	case clientAdmitted:
-		st.admitted++
-	case clientRejShare:
-		st.rejShare++
-	case clientRejQueue:
-		st.rejQueue++
-	}
+	l.state(name, time.Now()).counts[c]++
 }
 
 // snapshot renders the per-client counters for /metrics.
@@ -221,15 +219,11 @@ func (l *clientLedger) snapshot() map[string]any {
 	defer l.mu.Unlock()
 	out := make(map[string]any, len(l.clients))
 	for name, st := range l.clients {
-		out[name] = map[string]int64{
-			"admitted":       st.admitted,
-			"settled":        st.settled,
-			"cost_held_ms":   st.held,
-			"jobs_unsettled": int64(st.jobs),
-			"rejected_rate":  st.rejRate,
-			"rejected_share": st.rejShare,
-			"rejected_queue": st.rejQueue,
+		m := map[string]int64{"cost_held_ms": st.held, "jobs_unsettled": int64(st.jobs)}
+		for c, key := range clientCounterNames {
+			m[key] = st.counts[c]
 		}
+		out[name] = m
 	}
 	return out
 }
