@@ -40,9 +40,8 @@ func Backward(g *graph.Graph, loss graph.NodeID) (map[graph.NodeID]graph.NodeID,
 	if !req[loss] {
 		return nil, fmt.Errorf("autodiff: loss does not depend on any Param")
 	}
-	// Restrict to ancestors of loss.
-	anc := g.Anc(loss)
-	anc[loss] = true
+	// Restrict to loss and its ancestors.
+	anc := graph.Union(g.Anc(loss), graph.NewSet(loss))
 
 	// grads accumulates contributions per node; summed lazily.
 	pending := make(map[graph.NodeID][]graph.NodeID)
@@ -62,7 +61,7 @@ func Backward(g *graph.Graph, loss graph.NodeID) (map[graph.NodeID]graph.NodeID,
 
 	for i := len(topo) - 1; i >= 0; i-- {
 		v := topo[i]
-		if !anc[v] || !req[v] {
+		if !anc.Has(v) || !req[v] {
 			continue
 		}
 		n := g.Node(v)

@@ -41,12 +41,13 @@ func SplitBatch(g *graph.Graph, factor int) (*graph.Graph, error) {
 	var bestTr *fission.Trans
 	bestSize := 0
 	for _, comp := range d.Components() {
-		members := make(graph.Set)
+		var ids []graph.NodeID
 		for _, v := range comp.GraphNodes() {
 			if len(g.Pre(v)) > 0 { // exclude leaves: they are sliced inputs
-				members[v] = true
+				ids = append(ids, v)
 			}
 		}
+		members := graph.NewSet(ids...)
 		if len(members) <= bestSize {
 			continue
 		}

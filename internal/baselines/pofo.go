@@ -75,7 +75,7 @@ func pofoTopUp(g *graph.Graph, m *cost.Model, memLimit int64, order sched.Schedu
 		var pick *stash
 		for i := range cands {
 			c := &cands[i]
-			if !prof.Hotspots[c.id] || alreadySwapped(g, c.id) {
+			if !prof.Hotspots.Has(c.id) || alreadySwapped(g, c.id) {
 				continue
 			}
 			if pick == nil || c.bytes > pick.bytes {

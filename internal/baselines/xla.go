@@ -71,7 +71,7 @@ func (XLA) OptimizeMem(g *graph.Graph, m *cost.Model, memLimit int64) Result {
 func pickGreedy(g *graph.Graph, m *cost.Model, prof *sched.MemProfile, order sched.Schedule) graph.NodeID {
 	best := graph.Invalid
 	bestScore := 0.0
-	for v := range prof.Hotspots {
+	for _, v := range prof.Hotspots {
 		node := g.Node(v)
 		k := node.Op.Kind()
 		if ops.IsLeaf(k) || ops.IsTransfer(k) || len(node.Ins) == 0 {

@@ -22,10 +22,10 @@ type Choice map[graph.NodeID]int
 func ChoiceFor(d *DGraph, g *graph.Graph, comp Component, s graph.Set) (Choice, bool) {
 	// Candidate axes per member, restricted to the component.
 	cands := make(map[graph.NodeID][]int, len(s))
-	for v := range s {
+	for _, v := range s {
 		var axes []int
 		for _, a := range d.byNode[v] {
-			if comp[DimNode{v, a}] {
+			if comp.Has(DimNode{v, a}) {
 				axes = append(axes, a)
 			}
 		}
@@ -59,9 +59,9 @@ func ChoiceFor(d *DGraph, g *graph.Graph, comp Component, s graph.Set) (Choice, 
 	}
 	type edge struct{ u, v graph.NodeID }
 	var edges []edge
-	for v := range s {
+	for _, v := range s {
 		for _, u := range g.Pre(v) {
-			if s[u] {
+			if s.Has(u) {
 				edges = append(edges, edge{u, v})
 			}
 		}
@@ -125,7 +125,7 @@ func ChoiceFor(d *DGraph, g *graph.Graph, comp Component, s graph.Set) (Choice, 
 	if !propagate() {
 		return nil, false
 	}
-	for _, v := range sortedKeys(cands) {
+	for _, v := range s {
 		if len(cands[v]) == 1 {
 			continue
 		}
@@ -141,10 +141,10 @@ func ChoiceFor(d *DGraph, g *graph.Graph, comp Component, s graph.Set) (Choice, 
 	// Derive input slicing: input u of consumer v (v in S) is sliced along
 	// dim i when a link (i -> choice[v]) exists. Conflicting requirements
 	// across consumers invalidate the fission.
-	for v := range s {
+	for _, v := range s {
 		node := g.Node(v)
 		for _, u := range node.Ins {
-			if s[u] {
+			if s.Has(u) {
 				continue
 			}
 			for _, a := range d.byNode[u] {
@@ -161,13 +161,4 @@ func ChoiceFor(d *DGraph, g *graph.Graph, comp Component, s graph.Set) (Choice, 
 		}
 	}
 	return choice, true
-}
-
-func sortedKeys(m map[graph.NodeID][]int) []graph.NodeID {
-	out := make([]graph.NodeID, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

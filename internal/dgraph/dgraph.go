@@ -7,7 +7,8 @@
 package dgraph
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"magis/internal/graph"
 	"magis/internal/ops"
@@ -74,8 +75,21 @@ func Build(g *graph.Graph) *DGraph {
 func (d *DGraph) Axes(v graph.NodeID) []int { return d.byNode[v] }
 
 // Component is one weakly connected component of D(G): a graph-level
-// dimension.
-type Component map[DimNode]bool
+// dimension. Its vertices are sorted by (Node, Axis), each once.
+type Component []DimNode
+
+func compareDimNodes(a, b DimNode) int {
+	if a.Node != b.Node {
+		return cmp.Compare(a.Node, b.Node)
+	}
+	return cmp.Compare(a.Axis, b.Axis)
+}
+
+// Has reports whether dn is a vertex of the component, by binary search.
+func (c Component) Has(dn DimNode) bool {
+	_, ok := slices.BinarySearchFunc(c, dn, compareDimNodes)
+	return ok
+}
 
 // Components returns the weakly connected components with at least two
 // vertices (singleton dimensions admit no useful fission), ordered by
@@ -89,24 +103,19 @@ func (d *DGraph) Components() []Component {
 	for k := range d.in {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Node != keys[j].Node {
-			return keys[i].Node < keys[j].Node
-		}
-		return keys[i].Axis < keys[j].Axis
-	})
+	slices.SortFunc(keys, compareDimNodes)
 	var comps []Component
 	for _, k := range keys {
 		if seen[k] {
 			continue
 		}
-		comp := Component{}
+		var comp Component
 		stack := []DimNode{k}
 		seen[k] = true
 		for len(stack) > 0 {
 			x := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			comp[x] = true
+			comp = append(comp, x)
 			for _, y := range append(append([]DimNode(nil), d.out[x]...), d.in[x]...) {
 				if !seen[y] {
 					seen[y] = true
@@ -115,23 +124,22 @@ func (d *DGraph) Components() []Component {
 			}
 		}
 		if len(comp) >= 2 {
+			slices.SortFunc(comp, compareDimNodes)
 			comps = append(comps, comp)
 		}
 	}
 	return comps
 }
 
-// GraphNodes returns the distinct graph nodes touched by a component,
-// ascending.
-func (c Component) GraphNodes() []graph.NodeID {
-	set := make(map[graph.NodeID]bool)
-	for dn := range c {
-		set[dn.Node] = true
+// GraphNodes returns the distinct graph nodes touched by a component. The
+// component is sorted by node first, so dropping adjacent repeats leaves
+// them ascending, each once: a Set by construction.
+func (c Component) GraphNodes() graph.Set {
+	var out graph.Set
+	for i, dn := range c {
+		if i == 0 || dn.Node != c[i-1].Node {
+			out = append(out, dn.Node)
+		}
 	}
-	out := make([]graph.NodeID, 0, len(set))
-	for v := range set {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }

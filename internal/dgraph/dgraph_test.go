@@ -25,7 +25,7 @@ func attention() (*graph.Graph, map[string]graph.NodeID) {
 
 func findComponent(comps []Component, dn DimNode) Component {
 	for _, c := range comps {
-		if c[dn] {
+		if c.Has(dn) {
 			return c
 		}
 	}
@@ -42,7 +42,7 @@ func TestAttentionComponents(t *testing.T) {
 		t.Fatal("no batch component")
 	}
 	for _, name := range []string{"k", "v", "scores", "probs", "out"} {
-		if !batch[DimNode{n[name], 1}] {
+		if !batch.Has(DimNode{n[name], 1}) {
 			t.Errorf("batch component missing %s dim 1", name)
 		}
 	}
@@ -53,11 +53,11 @@ func TestAttentionComponents(t *testing.T) {
 		t.Fatal("no sequence component")
 	}
 	for _, dn := range []DimNode{{n["scores"], 3}, {n["probs"], 3}, {n["out"], 3}} {
-		if !seq[dn] {
+		if !seq.Has(dn) {
 			t.Errorf("row component missing %v", dn)
 		}
 	}
-	if seq[DimNode{n["k"], 3}] {
+	if seq.Has(DimNode{n["k"], 3}) {
 		t.Error("K's sequence dim must be cut off by the softmax axis")
 	}
 }
@@ -123,7 +123,7 @@ func TestTrainingBatchFissionWithGradReduce(t *testing.T) {
 	if batch == nil {
 		t.Fatal("no batch component")
 	}
-	if !batch[DimNode{n["gw"], -1}] {
+	if !batch.Has(DimNode{n["gw"], -1}) {
 		t.Error("weight gradient's reduce axis should join the batch dimension")
 	}
 	s := graph.NewSet(n["h"], n["y"], n["gy"], n["gw"])

@@ -8,7 +8,6 @@ package fission
 
 import (
 	"fmt"
-	"sort"
 
 	"magis/internal/dgraph"
 	"magis/internal/graph"
@@ -56,7 +55,7 @@ func Resolve(g *graph.Graph, d *dgraph.DGraph, comp dgraph.Component, s graph.Se
 // after Resolve can silently invalidate a dormant candidate; callers must
 // re-validate before enabling or materializing it.
 func (t *Trans) ValidateOn(g *graph.Graph) error {
-	for v := range t.S {
+	for _, v := range t.S {
 		if !g.Has(v) {
 			return fmt.Errorf("fission: member %d no longer exists", v)
 		}
@@ -76,11 +75,11 @@ func (t *Trans) ValidateOn(g *graph.Graph) error {
 	if !g.IsConvex(t.S) {
 		return fmt.Errorf("fission: sub-graph no longer convex")
 	}
-	for v := range t.S {
+	for _, v := range t.S {
 		node := g.Node(v)
 		spec := node.Op.(*ops.Spec)
 		for idx, u := range node.Ins {
-			if !t.S[u] {
+			if !t.S.Has(u) {
 				continue
 			}
 			covered := false
@@ -144,7 +143,7 @@ func gcdInt(a, b int) int {
 // (v's axis divided by t.N). Nodes fail if their axis is not divisible.
 func (t *Trans) PartSpecs(g *graph.Graph) (map[graph.NodeID]*ops.Spec, error) {
 	out := make(map[graph.NodeID]*ops.Spec, len(t.S))
-	for v := range t.S {
+	for _, v := range t.S {
 		spec := g.Node(v).Op.(*ops.Spec)
 		part, err := spec.SplitAxis(t.Choice[v], t.N)
 		if err != nil {
@@ -186,7 +185,7 @@ func (t *Trans) Apply(g *graph.Graph) (*ApplyResult, error) {
 	// Slice shared inputs that carry a split dimension.
 	sliced := make(map[graph.NodeID][]graph.NodeID) // input -> per-part slice
 	for u, axis := range t.Choice {
-		if t.S[u] || axis <= 0 {
+		if t.S.Has(u) || axis <= 0 {
 			continue
 		}
 		spec := ng.Node(u).Op.(*ops.Spec)
@@ -200,7 +199,7 @@ func (t *Trans) Apply(g *graph.Graph) (*ApplyResult, error) {
 		}
 	}
 	// Replicate the sub-graph per part, topologically.
-	order := topoWithin(g, t.S)
+	order := g.TopoWithin(t.S)
 	replica := make([]map[graph.NodeID]graph.NodeID, t.N)
 	for p := 0; p < t.N; p++ {
 		replica[p] = make(map[graph.NodeID]graph.NodeID, len(t.S))
@@ -209,7 +208,7 @@ func (t *Trans) Apply(g *graph.Graph) (*ApplyResult, error) {
 			var ins []graph.NodeID
 			for _, in := range g.Node(v).Ins {
 				switch {
-				case t.S[in]:
+				case t.S.Has(in):
 					ins = append(ins, replica[p][in])
 				case sliced[in] != nil:
 					ins = append(ins, sliced[in][p])
@@ -224,7 +223,7 @@ func (t *Trans) Apply(g *graph.Graph) (*ApplyResult, error) {
 	}
 	// Merge outputs and rewire external consumers.
 	merged := res.Merged
-	for v := range g.Outs(t.S) {
+	for _, v := range g.Outs(t.S) {
 		pieces := make([]graph.NodeID, t.N)
 		for p := 0; p < t.N; p++ {
 			pieces[p] = replica[p][v]
@@ -266,7 +265,7 @@ func (t *Trans) Apply(g *graph.Graph) (*ApplyResult, error) {
 		}
 	}
 	ng.RemoveDead(keep)
-	for v := range t.S {
+	for _, v := range t.S {
 		if ng.Has(v) {
 			return nil, fmt.Errorf("fission: original node %d still live after apply", v)
 		}
@@ -274,27 +273,15 @@ func (t *Trans) Apply(g *graph.Graph) (*ApplyResult, error) {
 	return res, nil
 }
 
-// topoWithin returns the members of s in g's topological order.
-func topoWithin(g *graph.Graph, s graph.Set) []graph.NodeID {
-	var out []graph.NodeID
-	for _, v := range g.Topo() {
-		if s[v] {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-// Inputs returns the sliced and shared inputs of the transformation.
+// Inputs returns the sliced and shared inputs of the transformation,
+// each ascending.
 func (t *Trans) Inputs(g *graph.Graph) (slicedIn, sharedIn []graph.NodeID) {
-	for u := range g.Inps(t.S) {
+	for _, u := range g.Inps(t.S) {
 		if axis, ok := t.Choice[u]; ok && axis > 0 {
 			slicedIn = append(slicedIn, u)
 		} else {
 			sharedIn = append(sharedIn, u)
 		}
 	}
-	sort.Slice(slicedIn, func(i, j int) bool { return slicedIn[i] < slicedIn[j] })
-	sort.Slice(sharedIn, func(i, j int) bool { return sharedIn[i] < sharedIn[j] })
 	return
 }

@@ -28,7 +28,7 @@ func batchComponent(t *testing.T, g *graph.Graph, probe dgraph.DimNode) (*dgraph
 	t.Helper()
 	d := dgraph.Build(g)
 	for _, c := range d.Components() {
-		if c[probe] {
+		if c.Has(probe) {
 			return d, c
 		}
 	}
@@ -83,7 +83,7 @@ func TestResolveRejectsDisconnected(t *testing.T) {
 		t.Fatal("no components")
 	}
 	for _, comp := range comps {
-		if comp[dgraph.DimNode{Node: b, Axis: 1}] && comp[dgraph.DimNode{Node: e, Axis: 1}] {
+		if comp.Has(dgraph.DimNode{Node: b, Axis: 1}) && comp.Has(dgraph.DimNode{Node: e, Axis: 1}) {
 			if _, err := Resolve(g, d, comp, graph.NewSet(b, e), 2); err == nil {
 				t.Error("disconnected sub-graph accepted")
 			}
@@ -161,7 +161,7 @@ func TestApplyReducesPeakMemory(t *testing.T) {
 	d := dgraph.Build(g)
 	var comp dgraph.Component
 	for _, cc := range d.Components() {
-		if cc[dgraph.DimNode{Node: a, Axis: 1}] {
+		if cc.Has(dgraph.DimNode{Node: a, Axis: 1}) {
 			comp = cc
 		}
 	}
@@ -194,7 +194,7 @@ func TestApplyConcatOutputShape(t *testing.T) {
 	d := dgraph.Build(g)
 	var comp dgraph.Component
 	for _, cc := range d.Components() {
-		if cc[dgraph.DimNode{Node: r, Axis: 1}] {
+		if cc.Has(dgraph.DimNode{Node: r, Axis: 1}) {
 			comp = cc
 		}
 	}

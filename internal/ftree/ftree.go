@@ -9,6 +9,7 @@ package ftree
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"magis/internal/dgraph"
@@ -146,11 +147,9 @@ func (t *Tree) EnabledNodes() []*Node {
 // Transformation rules must not pick sub-graphs that partly intersect this
 // region (§3).
 func (t *Tree) EnabledCover() graph.Set {
-	cover := make(graph.Set)
+	var cover graph.Set
 	for _, n := range t.EnabledNodes() {
-		for v := range n.T.S {
-			cover[v] = true
-		}
+		cover = graph.Union(cover, n.T.S)
 	}
 	return cover
 }
@@ -195,8 +194,9 @@ func BuildFrom(g *graph.Graph, hot graph.Set, opt Options, prev *Tree) *Tree {
 	}
 	var cands []cand
 	domCache := make(map[graph.NodeID]domEntry)
+	var notInnermost graph.IDTable
 	for _, comp := range d.Components() {
-		compNodes := graph.NewSet(comp.GraphNodes()...)
+		compNodes := comp.GraphNodes()
 		sub := g.Subgraph(compNodes)
 		if sub.Len() < 2 {
 			continue
@@ -219,13 +219,13 @@ func BuildFrom(g *graph.Graph, hot graph.Set, opt Options, prev *Tree) *Tree {
 					main = e
 				}
 			}
-			pruned := compNodes.Clone()
-			for _, e := range entries {
-				if e != main {
-					delete(pruned, e)
+			var pruned []graph.NodeID
+			for _, v := range compNodes {
+				if v == main || !slices.Contains(entries, v) {
+					pruned = append(pruned, v)
 				}
 			}
-			domGraph = g.Subgraph(pruned)
+			domGraph = g.Subgraph(graph.NewSet(pruned...))
 			key = main
 		}
 		var dt *graph.DomTree
@@ -252,24 +252,28 @@ func BuildFrom(g *graph.Graph, hot graph.Set, opt Options, prev *Tree) *Tree {
 		}
 		for i := 1; i <= L; i++ {
 			lo, hi := float64(i)/float64(L), float64(i+1)/float64(L)
-			bucket := make(graph.Set)
+			var bucket []graph.NodeID
 			for v, s := range scores {
 				r := s / smax
 				if r >= lo && r < hi {
-					bucket[v] = true
+					bucket = append(bucket, v)
 				}
 			}
+			slices.Sort(bucket)
 			// Select dominators whose dominated set contains no other
 			// bucket member (Algorithm 1 line 11): walk each member's
 			// dominator chain marking proper ancestors as non-innermost.
-			notInnermost := make(graph.Set)
-			for w := range bucket {
-				for p := dt.Parent[w]; p != graph.Invalid && !notInnermost[p]; p = dt.Parent[p] {
-					notInnermost[p] = true
+			notInnermost.Reset(int(g.NextID()))
+			for _, w := range bucket {
+				for p := dt.Parent[w]; p != graph.Invalid; p = dt.Parent[p] {
+					if _, ok := notInnermost.Get(p); ok {
+						break
+					}
+					notInnermost.Put(p, 0)
 				}
 			}
-			for _, vdom := range bucket.Slice() {
-				if notInnermost[vdom] {
+			for _, vdom := range bucket {
+				if _, ok := notInnermost.Get(vdom); ok {
 					continue
 				}
 				s := dt.Des(vdom)
@@ -310,7 +314,7 @@ func BuildFrom(g *graph.Graph, hot graph.Set, opt Options, prev *Tree) *Tree {
 		c := cd.Node
 		laminar := true
 		for _, k := range kept {
-			if partiallyOverlaps(c.T.S, k.T.S) {
+			if c.T.S.PartiallyOverlaps(k.T.S) {
 				laminar = false
 				break
 			}
@@ -330,38 +334,11 @@ func BuildFrom(g *graph.Graph, hot graph.Set, opt Options, prev *Tree) *Tree {
 	return t
 }
 
-// partiallyOverlaps reports whether a and b intersect without either
-// containing the other.
-func partiallyOverlaps(a, b graph.Set) bool {
-	inter, onlyA, onlyB := 0, 0, 0
-	for v := range a {
-		if b[v] {
-			inter++
-		} else {
-			onlyA++
-		}
-	}
-	if inter == 0 {
-		return false
-	}
-	for v := range b {
-		if !a[v] {
-			onlyB++
-		}
-	}
-	return onlyA > 0 && onlyB > 0
-}
-
 func (t *Tree) smallestContainer(c *Node) *Node {
 	var best *Node
 	t.Walk(func(n *Node) {
-		if n == c || len(n.T.S) <= len(c.T.S) {
+		if n == c || len(n.T.S) <= len(c.T.S) || !n.T.S.Contains(c.T.S) {
 			return
-		}
-		for v := range c.T.S {
-			if !n.T.S[v] {
-				return
-			}
 		}
 		if best == nil || len(n.T.S) < len(best.T.S) {
 			best = n
@@ -388,7 +365,7 @@ func heatScores(g, domGraph *graph.Graph, dt *graph.DomTree, hot graph.Set, naiv
 	for i := len(order) - 1; i >= 0; i-- {
 		v := order[i]
 		var s int64
-		if hot[v] {
+		if hot.Has(v) {
 			s = sched.OutDeviceBytes(g.Node(v))
 		}
 		for _, c := range dt.Children(v) {
@@ -408,7 +385,7 @@ func heatScores(g, domGraph *graph.Graph, dt *graph.DomTree, hot graph.Set, naiv
 			continue
 		}
 		own := int64(0)
-		if hot[v] {
+		if hot.Has(v) {
 			own = sched.OutDeviceBytes(g.Node(v))
 		}
 		scores[v] = 0.5 * float64(sub[v]-own)

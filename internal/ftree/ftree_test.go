@@ -43,8 +43,8 @@ func TestBuildFindsCandidates(t *testing.T) {
 			t.Error("candidate cannot be split")
 		}
 		if n.Parent != nil {
-			for v := range n.T.S {
-				if !n.Parent.T.S[v] {
+			for _, v := range n.T.S {
+				if !n.Parent.T.S.Has(v) {
 					t.Error("child set not contained in parent set")
 				}
 			}
@@ -219,7 +219,7 @@ func TestBuildDeterministic(t *testing.T) {
 		var b strings.Builder
 		var rec func(n *Node, depth int)
 		rec = func(n *Node, depth int) {
-			fmt.Fprintf(&b, "%d %v %d %g\n", depth, n.T.S.Slice(), n.Level, n.Score)
+			fmt.Fprintf(&b, "%d %v %d %g\n", depth, n.T.S, n.Level, n.Score)
 			for _, c := range n.Children {
 				rec(c, depth+1)
 			}

@@ -60,7 +60,7 @@ func (t *Tree) Materialize(g *graph.Graph) (*graph.Graph, error) {
 		for _, m := range res.Merged {
 			created = append(created, m)
 		}
-		for v := range s {
+		for _, v := range s {
 			repl[v] = created
 		}
 		for sl, src := range res.Slices {
@@ -75,11 +75,8 @@ func (t *Tree) Materialize(g *graph.Graph) (*graph.Graph, error) {
 // graph, following replacements made by deeper materializations, and
 // returns a probe dimension for component lookup.
 func expandSet(cur *graph.Graph, n *Node, repl map[graph.NodeID][]graph.NodeID, sliceOrigin map[graph.NodeID]graph.NodeID) (graph.Set, dgraph.DimNode, error) {
-	s := make(graph.Set)
-	var stack []graph.NodeID
-	for v := range n.T.S {
-		stack = append(stack, v)
-	}
+	var members []graph.NodeID
+	stack := append([]graph.NodeID(nil), n.T.S...)
 	seen := make(map[graph.NodeID]bool)
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
@@ -89,18 +86,19 @@ func expandSet(cur *graph.Graph, n *Node, repl map[graph.NodeID][]graph.NodeID, 
 		}
 		seen[v] = true
 		if cur.Has(v) {
-			s[v] = true
+			members = append(members, v)
 			continue
 		}
 		if rs, ok := repl[v]; ok {
 			stack = append(stack, rs...)
 		}
 	}
+	s := graph.NewSet(members...)
 	// Anchor the graph-level dimension at a surviving original member.
 	var probe dgraph.DimNode
 	found := false
-	for _, v := range s.Slice() {
-		if a, ok := n.T.Choice[v]; ok && n.T.S[v] {
+	for _, v := range s {
+		if a, ok := n.T.Choice[v]; ok && n.T.S.Has(v) {
 			probe = dgraph.DimNode{Node: v, Axis: a}
 			found = true
 			break
@@ -112,23 +110,23 @@ func expandSet(cur *graph.Graph, n *Node, repl map[graph.NodeID][]graph.NodeID, 
 	// Pull in inner slice nodes whose source landed inside the region;
 	// leaving them out would break convexity.
 	for {
-		added := false
+		var added []graph.NodeID
 		for sl, src := range sliceOrigin {
-			if cur.Has(sl) && !s[sl] && s[src] {
-				s[sl] = true
-				added = true
+			if cur.Has(sl) && !s.Has(sl) && s.Has(src) {
+				added = append(added, sl)
 			}
 		}
-		if !added {
+		if len(added) == 0 {
 			break
 		}
+		s = graph.Union(s, graph.NewSet(added...))
 	}
 	return s, probe, nil
 }
 
 func componentWith(d *dgraph.DGraph, probe dgraph.DimNode) dgraph.Component {
 	for _, c := range d.Components() {
-		if c[probe] {
+		if c.Has(probe) {
 			return c
 		}
 	}

@@ -82,7 +82,7 @@ func smallestParts(g *graph.Graph, n *Node) int {
 // can strand or corrupt dormant candidates; those are skipped rather than
 // mutated.
 func (n *Node) validOn(g *graph.Graph) bool {
-	for v := range n.T.S {
+	for _, v := range n.T.S {
 		if !g.Has(v) {
 			return false
 		}

@@ -1,6 +1,6 @@
 package graph
 
-import "sort"
+import "slices"
 
 // DomTree is the dominator tree T(G) of a computation graph (§2.1). Because
 // computation graphs have many entry nodes (input, label, and weight
@@ -194,7 +194,7 @@ func buildDomTree(topo []NodeID, idom []int32) *DomTree {
 		}
 	}
 	for _, cs := range t.children {
-		sort.Slice(cs, func(i, j int) bool { return cs[i] < cs[j] })
+		slices.Sort(cs)
 	}
 	return t
 }
@@ -205,26 +205,24 @@ func (t *DomTree) Children(v NodeID) []NodeID { return t.children[v] }
 
 // Des returns the strict descendants of v in the dominator tree, i.e. all
 // nodes dominated by v other than v itself.
-func (t *DomTree) Des(v NodeID) Set {
-	out := make(Set)
-	stack := append([]NodeID(nil), t.children[v]...)
+func (t *DomTree) Des(v NodeID) Set { return t.subtrees(t.children[v]) }
+
+// DesWith returns Des(v) plus v itself: the full sub-tree dominated by v.
+func (t *DomTree) DesWith(v NodeID) Set { return t.subtrees([]NodeID{v}) }
+
+// subtrees returns the nodes of the sub-trees rooted at roots, ascending.
+// A tree walk reaches each node once, so no visited marker is needed.
+func (t *DomTree) subtrees(roots []NodeID) Set {
+	var out []NodeID
+	stack := append([]NodeID(nil), roots...)
 	for len(stack) > 0 {
 		u := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if out[u] {
-			continue
-		}
-		out[u] = true
+		out = append(out, u)
 		stack = append(stack, t.children[u]...)
 	}
+	slices.Sort(out)
 	return out
-}
-
-// DesWith returns Des(v) plus v itself: the full sub-tree dominated by v.
-func (t *DomTree) DesWith(v NodeID) Set {
-	s := t.Des(v)
-	s[v] = true
-	return s
 }
 
 // Nodes returns the tree's nodes in reverse postorder of the graph.

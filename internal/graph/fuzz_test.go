@@ -88,7 +88,7 @@ func FuzzValidate(f *testing.F) {
 						if cand != old &&
 							g.Node(cand).Op.OutShape().Equal(g.Node(old).Op.OutShape()) &&
 							g.Node(cand).Op.Kind() == g.Node(old).Op.Kind() &&
-							!g.Anc(cand)[old] && cand != old {
+							!g.Anc(cand).Has(old) && cand != old {
 							g.RedirectConsumers(old, cand)
 							order = sched.Schedule(g.Topo())
 							schedMutated = false

@@ -18,7 +18,7 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"magis/internal/tensor"
 )
@@ -64,9 +64,9 @@ func (n *Node) OutBytes() int64 {
 // indexed directly by NodeID (nil / empty for absent IDs); IDs therefore
 // stay small because they are allocated sequentially along a lineage.
 type Graph struct {
-	nodes []*Node     // nodes[id] == nil means id is absent
-	suc   [][]NodeID  // consumer lists (with multiplicity)
-	n     int         // live node count
+	nodes []*Node    // nodes[id] == nil means id is absent
+	suc   [][]NodeID // consumer lists (with multiplicity)
+	n     int        // live node count
 	next  NodeID
 
 	// Clone arenas, retained so CloneInto can recycle their capacity when
@@ -195,40 +195,6 @@ func (g *Graph) EachNodeID(f func(NodeID)) {
 	}
 }
 
-// sortIDs sorts a small NodeID slice ascending without reflection.
-func sortIDs(s []NodeID) {
-	if len(s) < 24 {
-		for i := 1; i < len(s); i++ {
-			for j := i; j > 0 && s[j] < s[j-1]; j-- {
-				s[j], s[j-1] = s[j-1], s[j]
-			}
-		}
-		return
-	}
-	sort.Sort(idSlice(s))
-}
-
-type idSlice []NodeID
-
-func (s idSlice) Len() int           { return len(s) }
-func (s idSlice) Less(i, j int) bool { return s[i] < s[j] }
-func (s idSlice) Swap(i, j int)      { s[i], s[j] = s[j], s[i] }
-
-// dedupSorted removes adjacent duplicates from a sorted slice in place.
-func dedupSorted(s []NodeID) []NodeID {
-	if len(s) < 2 {
-		return s
-	}
-	w := 1
-	for i := 1; i < len(s); i++ {
-		if s[i] != s[w-1] {
-			s[w] = s[i]
-			w++
-		}
-	}
-	return s[:w]
-}
-
 // Pre returns the distinct predecessors of v, ascending.
 func (g *Graph) Pre(v NodeID) []NodeID {
 	n := g.Node(v)
@@ -236,8 +202,8 @@ func (g *Graph) Pre(v NodeID) []NodeID {
 		return nil
 	}
 	out := append([]NodeID(nil), n.Ins...)
-	sortIDs(out)
-	return dedupSorted(out)
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // Suc returns the distinct successors of v, ascending.
@@ -246,8 +212,8 @@ func (g *Graph) Suc(v NodeID) []NodeID {
 		return nil
 	}
 	out := append([]NodeID(nil), g.suc[v]...)
-	sortIDs(out)
-	return dedupSorted(out)
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // NumConsumers returns the number of distinct consumers of v.
@@ -476,10 +442,8 @@ func (g *Graph) topoInto(indeg []int32, order, frontier []NodeID) ([]NodeID, []N
 		for _, s := range g.suc[v] {
 			indeg[s]--
 			if indeg[s] == 0 {
-				i := head + sort.Search(len(frontier)-head, func(i int) bool { return frontier[head+i] >= s })
-				frontier = append(frontier, 0)
-				copy(frontier[i+1:], frontier[i:])
-				frontier[i] = s
+				i, _ := slices.BinarySearch(frontier[head:], s)
+				frontier = slices.Insert(frontier, head+i, s)
 			}
 		}
 	}
@@ -593,9 +557,6 @@ func removeOne(s []NodeID, v NodeID) []NodeID {
 }
 
 func insertSorted(s []NodeID, v NodeID) []NodeID {
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= v })
-	s = append(s, 0)
-	copy(s[i+1:], s[i:])
-	s[i] = v
-	return s
+	i, _ := slices.BinarySearch(s, v)
+	return slices.Insert(s, i, v)
 }

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"slices"
 	"testing"
 
 	"magis/internal/tensor"
@@ -116,7 +117,7 @@ func TestDuplicateInputEdges(t *testing.T) {
 func TestAncDes(t *testing.T) {
 	g, n := diamond()
 	anc := g.Anc(n[3])
-	if len(anc) != 3 || !anc[n[0]] || !anc[n[1]] || !anc[n[2]] {
+	if len(anc) != 3 || !anc.Has(n[0]) || !anc.Has(n[1]) || !anc.Has(n[2]) {
 		t.Errorf("Anc(d) = %v", anc)
 	}
 	des := g.Des(n[0])
@@ -132,17 +133,17 @@ func TestInpsOuts(t *testing.T) {
 	g, n := diamond()
 	s := NewSet(n[1], n[2])
 	inps := g.Inps(s)
-	if len(inps) != 1 || !inps[n[0]] {
+	if len(inps) != 1 || !inps.Has(n[0]) {
 		t.Errorf("Inps = %v", inps)
 	}
 	outs := g.Outs(s)
-	if len(outs) != 2 || !outs[n[1]] || !outs[n[2]] {
+	if len(outs) != 2 || !outs.Has(n[1]) || !outs.Has(n[2]) {
 		t.Errorf("Outs = %v", outs)
 	}
 	// Whole-graph outputs count as outs even without external consumers.
 	all := NewSet(n[0], n[1], n[2], n[3])
 	outs = g.Outs(all)
-	if len(outs) != 1 || !outs[n[3]] {
+	if len(outs) != 1 || !outs.Has(n[3]) {
 		t.Errorf("Outs(all) = %v", outs)
 	}
 }
@@ -336,14 +337,15 @@ func TestReachIndexMatchesBruteForce(t *testing.T) {
 }
 
 func TestSetSliceSorted(t *testing.T) {
-	s := NewSet(5, 1, 3)
-	got := s.Slice()
-	if len(got) != 3 || got[0] != 1 || got[1] != 3 || got[2] != 5 {
-		t.Errorf("Slice = %v", got)
+	ids := []NodeID{5, 1, 3, 1}
+	s := NewSet(ids...)
+	if !slices.Equal(s, Set{1, 3, 5}) {
+		t.Errorf("NewSet = %v, want [1 3 5]", s)
 	}
-	c := s.Clone()
-	delete(c, 1)
-	if !s[1] {
-		t.Error("Clone shares map")
+	if !slices.Equal(ids, []NodeID{5, 1, 3, 1}) {
+		t.Errorf("NewSet reordered its argument: %v", ids)
+	}
+	if !s.Has(3) || s.Has(2) {
+		t.Errorf("Has: 3 %v, 2 %v", s.Has(3), s.Has(2))
 	}
 }

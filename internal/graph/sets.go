@@ -1,124 +1,229 @@
 package graph
 
+import (
+	"slices"
+	"sync"
+)
+
 // Set is a node set with the boundary/closure operations from Table 1 of
-// the paper.
-type Set map[NodeID]bool
+// the paper. A Set is its members in ascending order, each once. Sets are
+// built by this package (NewSet, Union and the operations below); the one
+// conversion elsewhere, dgraph.Component.GraphNodes, is sorted and unique
+// by construction. Callers read a Set as a slice and never sort it again.
+type Set []NodeID
 
-// NewSet builds a Set from IDs.
-func NewSet(ids ...NodeID) Set {
-	s := make(Set, len(ids))
-	for _, id := range ids {
-		s[id] = true
-	}
-	return s
+// NewSet builds a Set from ids, sorting and deduplicating a copy.
+func NewSet(ids ...NodeID) Set { return sortedSet(slices.Clone(ids)) }
+
+// sortedSet turns ids into a Set in place.
+func sortedSet(ids []NodeID) Set {
+	slices.Sort(ids)
+	return slices.Compact(ids)
 }
 
-// Slice returns the members in ascending order.
-func (s Set) Slice() []NodeID {
-	out := make([]NodeID, 0, len(s))
-	for id := range s {
-		out = append(out, id)
-	}
-	sortIDs(out)
-	return out
+// Has reports whether v is a member, by binary search.
+func (s Set) Has(v NodeID) bool {
+	_, ok := slices.BinarySearch(s, v)
+	return ok
 }
 
-// Clone returns a copy of the set.
-func (s Set) Clone() Set {
-	c := make(Set, len(s))
-	for id := range s {
-		c[id] = true
+// Union returns the members of a or b.
+func Union(a, b Set) Set {
+	out := make(Set, 0, len(a)+len(b))
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] < b[j]:
+			out = append(out, a[i])
+			i++
+		case a[i] > b[j]:
+			out = append(out, b[j])
+			j++
+		default:
+			out = append(out, a[i])
+			i++
+			j++
+		}
 	}
-	return c
+	out = append(out, a[i:]...)
+	return append(out, b[j:]...)
+}
+
+// overlap counts, in one merge walk, the members only in a, in both, and
+// only in b.
+func overlap(a, b Set) (onlyA, both, onlyB int) {
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] < b[j]:
+			onlyA++
+			i++
+		case a[i] > b[j]:
+			onlyB++
+			j++
+		default:
+			both++
+			i++
+			j++
+		}
+	}
+	return onlyA + len(a) - i, both, onlyB + len(b) - j
+}
+
+// Contains reports whether every member of t is a member of s.
+func (s Set) Contains(t Set) bool {
+	_, _, onlyT := overlap(s, t)
+	return onlyT == 0
+}
+
+// PartiallyOverlaps reports whether s and t intersect without either
+// containing the other.
+func (s Set) PartiallyOverlaps(t Set) bool {
+	onlyS, both, onlyT := overlap(s, t)
+	return both > 0 && onlyS > 0 && onlyT > 0
+}
+
+// IDTable maps NodeIDs to int32 values, one generation at a time. It is
+// sized by a graph's ID range once and then reused: starting a generation
+// invalidates every entry without clearing the table, so a pass over k
+// nodes costs O(k) however large the graph's ID range is. It is the dense
+// membership table of the loops below and of the scheduler.
+type IDTable struct {
+	gen   uint32
+	stamp []uint32
+	val   []int32
+}
+
+// Reset starts a new, empty generation that can hold IDs below n.
+func (t *IDTable) Reset(n int) {
+	if len(t.stamp) < n {
+		t.stamp = make([]uint32, n+n/4)
+		t.val = make([]int32, len(t.stamp))
+		t.gen = 0
+	}
+	if t.gen++; t.gen == 0 {
+		clear(t.stamp)
+		t.gen = 1
+	}
+}
+
+// Put maps v to x in the current generation; v must be below Reset's n.
+func (t *IDTable) Put(v NodeID, x int32) {
+	t.stamp[v] = t.gen
+	t.val[v] = x
+}
+
+// Get returns v's value in the current generation; ok is false when v was
+// not put in it.
+func (t *IDTable) Get(v NodeID) (x int32, ok bool) {
+	if uint(v) < uint(len(t.stamp)) && t.stamp[v] == t.gen {
+		return t.val[v], true
+	}
+	return 0, false
+}
+
+// tables recycles the membership tables of the loops below: a pooled
+// table starts a new generation in O(1), so a loop over S costs O(|S|)
+// rather than an allocation sized by the graph's ID range.
+var tables = sync.Pool{New: func() any { return new(IDTable) }}
+
+// members returns a pooled table holding every member of s, mapped to 0.
+// The caller hands it back with tables.Put.
+func (g *Graph) members(s Set) *IDTable {
+	t := tables.Get().(*IDTable)
+	t.Reset(len(g.nodes))
+	for _, v := range s {
+		t.Put(v, 0)
+	}
+	return t
 }
 
 // Anc returns all (strict) ancestors of v: G.anc(v).
 func (g *Graph) Anc(v NodeID) Set {
-	out := make(Set)
 	n := g.Node(v)
 	if n == nil {
-		return out
+		return nil
 	}
-	stack := append([]NodeID(nil), n.Ins...)
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if out[u] {
-			continue
-		}
-		out[u] = true
-		stack = append(stack, g.nodes[u].Ins...)
-	}
-	return out
+	return g.closure(n.Ins, func(u NodeID) []NodeID { return g.nodes[u].Ins })
 }
 
 // Des returns all (strict) descendants of v: G.des(v).
-func (g *Graph) Des(v NodeID) Set {
-	out := make(Set)
-	stack := append([]NodeID(nil), g.sucList(v)...)
+func (g *Graph) Des(v NodeID) Set { return g.closure(g.sucList(v), g.sucList) }
+
+// closure returns the nodes reachable from start along next, read off a
+// visited marker in ascending order.
+func (g *Graph) closure(start []NodeID, next func(NodeID) []NodeID) Set {
+	seen := make([]bool, len(g.nodes))
+	stack := append([]NodeID(nil), start...)
+	n := 0
 	for len(stack) > 0 {
 		u := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if out[u] {
-			continue
+		if !seen[u] {
+			seen[u] = true
+			n++
+			stack = append(stack, next(u)...)
 		}
-		out[u] = true
-		stack = append(stack, g.sucList(u)...)
+	}
+	out := make(Set, 0, n)
+	for id, ok := range seen {
+		if ok {
+			out = append(out, NodeID(id))
+		}
 	}
 	return out
 }
 
 // Inps returns G.inps(S): the nodes outside S consumed by members of S.
 func (g *Graph) Inps(s Set) Set {
-	out := make(Set)
-	for v := range s {
+	var out []NodeID
+	for _, v := range s {
 		for _, p := range g.nodes[v].Ins {
-			if !s[p] {
-				out[p] = true
+			if !s.Has(p) {
+				out = append(out, p)
 			}
 		}
 	}
-	return out
+	return sortedSet(out)
 }
 
 // Outs returns G.outs(S): members of S whose output is consumed outside S
 // or that are outputs of the whole graph.
 func (g *Graph) Outs(s Set) Set {
-	out := make(Set)
-	for v := range s {
+	var out Set
+	for _, v := range s {
 		sucs := g.sucList(v)
-		if len(sucs) == 0 {
-			out[v] = true
-			continue
+		if len(sucs) == 0 || slices.ContainsFunc(sucs, func(c NodeID) bool { return !s.Has(c) }) {
+			out = append(out, v)
 		}
-		for _, c := range sucs {
-			if !s[c] {
-				out[v] = true
-				break
-			}
+	}
+	return out
+}
+
+// TopoWithin returns the members of s in g's topological order.
+func (g *Graph) TopoWithin(s Set) []NodeID {
+	out := make([]NodeID, 0, len(s))
+	for _, v := range g.Topo() {
+		if s.Has(v) {
+			out = append(out, v)
 		}
 	}
 	return out
 }
 
 // IsConvex reports whether the induced sub-graph G[S] is convex, i.e. no
-// path leaves S and re-enters it. Per the paper's constraint (2):
-// G.inps(S) must be disjoint from the descendants of G.outs(S)... the
-// equivalent and more direct check used here is: no input of S is a
-// descendant of any output of S.
+// path leaves S and re-enters it. This is the paper's constraint (2), that
+// G.inps(S) be disjoint from the descendants of G.outs(S): a path re-enters
+// S exactly through one of its inputs.
 func (g *Graph) IsConvex(s Set) bool {
-	inps := g.Inps(s)
-	if len(inps) == 0 {
-		return true
-	}
-	// Collect descendants of all outputs of S that lie outside S, and
-	// verify none of them feeds back into S.
-	outs := g.Outs(s)
-	seen := make(Set)
+	const outside = 1 // a reached node outside S; members map to 0
+	t := g.members(s)
+	defer tables.Put(t)
 	var stack []NodeID
-	for o := range outs {
-		for _, c := range g.sucList(o) {
-			if !s[c] {
+	for _, v := range s {
+		for _, c := range g.sucList(v) {
+			if _, ok := t.Get(c); !ok {
+				t.Put(c, outside)
 				stack = append(stack, c)
 			}
 		}
@@ -126,20 +231,13 @@ func (g *Graph) IsConvex(s Set) bool {
 	for len(stack) > 0 {
 		u := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if seen[u] {
-			continue
-		}
-		seen[u] = true
-		if s[u] {
-			return false // path left S and re-entered
-		}
-		stack = append(stack, g.sucList(u)...)
-	}
-	// Also no external descendant may be an input of S (it would create a
-	// dependency cycle once S collapses to one step).
-	for u := range seen {
-		if inps[u] {
-			return false
+		for _, c := range g.sucList(u) {
+			if x, ok := t.Get(c); !ok {
+				t.Put(c, outside)
+				stack = append(stack, c)
+			} else if x != outside {
+				return false // path left S and re-entered
+			}
 		}
 	}
 	return true
@@ -150,22 +248,44 @@ func (g *Graph) IsWeaklyConnected(s Set) bool {
 	if len(s) <= 1 {
 		return true
 	}
-	var start NodeID
-	for v := range s {
-		start = v
-		break
+	t := g.members(s)
+	defer tables.Put(t)
+	return len(g.flood(t, s[0])) == len(s)
+}
+
+// Components partitions S into weakly connected components of G[S],
+// each returned in ascending ID order; components are ordered by their
+// smallest member.
+func (g *Graph) Components(s Set) [][]NodeID {
+	t := g.members(s)
+	defer tables.Put(t)
+	var comps [][]NodeID
+	for _, v := range s {
+		if x, _ := t.Get(v); x == 0 {
+			comp := g.flood(t, v)
+			slices.Sort(comp)
+			comps = append(comps, comp)
+		}
 	}
-	seen := Set{start: true}
-	stack := []NodeID{start}
+	return comps
+}
+
+// flood returns the members weakly connected to member v in G[S], where t
+// maps S's members to 0 until they are reached and to 1 after.
+func (g *Graph) flood(t *IDTable, v NodeID) []NodeID {
+	var comp []NodeID
+	stack := []NodeID{v}
+	t.Put(v, 1)
 	visit := func(w NodeID) {
-		if s[w] && !seen[w] {
-			seen[w] = true
+		if x, ok := t.Get(w); ok && x == 0 {
+			t.Put(w, 1)
 			stack = append(stack, w)
 		}
 	}
 	for len(stack) > 0 {
 		u := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
+		comp = append(comp, u)
 		for _, w := range g.nodes[u].Ins {
 			visit(w)
 		}
@@ -173,43 +293,7 @@ func (g *Graph) IsWeaklyConnected(s Set) bool {
 			visit(w)
 		}
 	}
-	return len(seen) == len(s)
-}
-
-// Components partitions S into weakly connected components of G[S],
-// each returned in ascending ID order; components are ordered by their
-// smallest member.
-func (g *Graph) Components(s Set) [][]NodeID {
-	seen := make(Set, len(s))
-	var comps [][]NodeID
-	for _, v := range s.Slice() {
-		if seen[v] {
-			continue
-		}
-		comp := []NodeID{}
-		stack := []NodeID{v}
-		seen[v] = true
-		for len(stack) > 0 {
-			u := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			comp = append(comp, u)
-			visit := func(w NodeID) {
-				if s[w] && !seen[w] {
-					seen[w] = true
-					stack = append(stack, w)
-				}
-			}
-			for _, w := range g.nodes[u].Ins {
-				visit(w)
-			}
-			for _, w := range g.sucList(u) {
-				visit(w)
-			}
-		}
-		sortIDs(comp)
-		comps = append(comps, comp)
-	}
-	return comps
+	return comp
 }
 
 // Subgraph extracts G[S] as a standalone Graph. Edges to producers outside
@@ -225,11 +309,15 @@ func (g *Graph) Subgraph(s Set) *Graph {
 		n:     len(s),
 		next:  g.next,
 	}
-	// Count internal edges: each contributes one Ins slot and one suc slot.
+	// Count internal edges per producer: each contributes one Ins slot and
+	// one suc slot.
+	cnt := g.members(s)
+	defer tables.Put(cnt)
 	internal := 0
-	for v := range s {
+	for _, v := range s {
 		for _, in := range g.nodes[v].Ins {
-			if s[in] {
+			if c, ok := cnt.Get(in); ok {
+				cnt.Put(in, c+1)
 				internal++
 			}
 		}
@@ -237,35 +325,27 @@ func (g *Graph) Subgraph(s Set) *Graph {
 	sub.nodeArena = make([]Node, len(s))
 	sub.idArena = make([]NodeID, 2*internal)
 	arena, ids := sub.nodeArena, sub.idArena
-	ai, off := 0, 0
-	for v := range s {
+	off := 0
+	for i, v := range s {
 		n := g.nodes[v]
 		base := off
 		for _, in := range n.Ins {
-			if s[in] {
+			if _, ok := cnt.Get(in); ok {
 				ids[off] = in
 				off++
 			}
 		}
-		arena[ai] = Node{ID: v, Op: n.Op, Ins: ids[base:off:off], Name: n.Name}
-		sub.nodes[v] = &arena[ai]
-		ai++
+		arena[i] = Node{ID: v, Op: n.Op, Ins: ids[base:off:off], Name: n.Name}
+		sub.nodes[v] = &arena[i]
 	}
-	// Consumer lists, placed in the second half of the arena via a
-	// counting pass.
-	cnt := make([]int32, size)
-	for v := range s {
-		for _, in := range sub.nodes[v].Ins {
-			cnt[in]++
-		}
-	}
-	for id, c := range cnt {
-		if c > 0 {
-			sub.suc[id] = ids[off:off:off+int(c)]
+	// Consumer lists, placed in the second half of the arena.
+	for _, v := range s {
+		if c, _ := cnt.Get(v); c > 0 {
+			sub.suc[v] = ids[off : off : off+int(c)]
 			off += int(c)
 		}
 	}
-	for v := range s {
+	for _, v := range s {
 		for _, in := range sub.nodes[v].Ins {
 			sub.suc[in] = append(sub.suc[in], v)
 		}

@@ -89,7 +89,7 @@ func TestTransformerBatchDimensionRunsEndToEnd(t *testing.T) {
 	}
 	var batchComp dgraph.Component
 	for _, c := range d.Components() {
-		if c[dgraph.DimNode{Node: probs, Axis: 1}] {
+		if c.Has(dgraph.DimNode{Node: probs, Axis: 1}) {
 			batchComp = c
 		}
 	}
@@ -98,7 +98,7 @@ func TestTransformerBatchDimensionRunsEndToEnd(t *testing.T) {
 	}
 	// The component must reach the loss's reduce axis and the second
 	// block's attention too.
-	if !batchComp[dgraph.DimNode{Node: w.Loss, Axis: -1}] {
+	if !batchComp.Has(dgraph.DimNode{Node: w.Loss, Axis: -1}) {
 		t.Error("batch component does not reach the loss reduction")
 	}
 	n := 0

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
 	"sort"
 	"time"
 
@@ -379,7 +380,7 @@ func recordTree(t *ftree.Tree) []*ftNodeRec {
 	var rec func(n *ftree.Node) *ftNodeRec
 	rec = func(n *ftree.Node) *ftNodeRec {
 		r := &ftNodeRec{
-			S:         n.T.S.Slice(),
+			S:         n.T.S,
 			TransN:    n.T.N,
 			N:         n.N,
 			ScoreBits: math.Float64bits(n.Score),
@@ -389,7 +390,7 @@ func recordTree(t *ftree.Tree) []*ftNodeRec {
 		for k := range n.T.Choice {
 			keys = append(keys, k)
 		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+		slices.Sort(keys)
 		for _, k := range keys {
 			r.ChoiceKeys = append(r.ChoiceKeys, k)
 			r.ChoiceVals = append(r.ChoiceVals, n.T.Choice[k])

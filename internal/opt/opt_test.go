@@ -170,7 +170,7 @@ func TestCollapseRegionAccounting(t *testing.T) {
 	}
 	// Splitting costs latency: region latency exceeds the unsplit members'.
 	var orig float64
-	for v := range target.T.S {
+	for _, v := range target.T.S {
 		orig += m.NodeLatency(g.Node(v))
 	}
 	if rop.Latency() <= orig {

@@ -8,6 +8,7 @@ package opt
 
 import (
 	"fmt"
+	"slices"
 
 	"magis/internal/cost"
 	"magis/internal/ftree"
@@ -111,10 +112,9 @@ func (c *collapser) specIdent(s *ops.Spec) int32 {
 // ops.Spec (the error path re-derives it without the memo).
 func (c *collapser) regionMemoKey(g *graph.Graph, n *ftree.Node) bool {
 	b := appendI32(c.keyBuf, int32(n.N))
-	members := n.T.S.Slice()
 	outs := g.Outs(n.T.S)
-	b = appendI32(b, int32(len(members)))
-	for _, v := range members {
+	b = appendI32(b, int32(len(n.T.S)))
+	for _, v := range n.T.S {
 		node := g.Node(v)
 		spec, ok := node.Op.(*ops.Spec)
 		if !ok {
@@ -127,7 +127,7 @@ func (c *collapser) regionMemoKey(g *graph.Graph, n *ftree.Node) bool {
 		for _, in := range node.Ins {
 			b = appendI32(b, int32(in))
 		}
-		if outs[v] {
+		if outs.Has(v) {
 			b = append(b, 1)
 		} else {
 			b = append(b, 0)
@@ -241,9 +241,8 @@ func (c *collapser) memoRegionOp(g *graph.Graph, n *ftree.Node) (*RegionOp, erro
 
 // regionKey canonically identifies a region by its member set.
 func regionKey(s graph.Set) string {
-	ids := s.Slice()
-	b := make([]byte, 0, len(ids)*4)
-	for _, id := range ids {
+	b := make([]byte, 0, len(s)*4)
+	for _, id := range s {
 		b = append(b, byte(id), byte(id>>8), byte(id>>16), byte(id>>24))
 	}
 	return string(b)
@@ -275,7 +274,7 @@ func (c *collapser) regionOp(g *graph.Graph, n *ftree.Node, overrides map[graph.
 	}
 	// Split every member along its chosen axis.
 	part := make(map[graph.NodeID]*ops.Spec, len(n.T.S))
-	for v := range n.T.S {
+	for _, v := range n.T.S {
 		spec, err := base(v)
 		if err != nil {
 			return nil, err
@@ -308,10 +307,10 @@ func (c *collapser) regionOp(g *graph.Graph, n *ftree.Node, overrides map[graph.
 		idMap[u] = pg.Add(ops.NewInput(sl.OutShape(), spec.DType()))
 		sliceLat += c.model.OpLatency(sl)
 	}
-	for _, v := range topoWithin(g, n.T.S) {
+	for _, v := range g.TopoWithin(n.T.S) {
 		var ins []graph.NodeID
 		for _, in := range g.Node(v).Ins {
-			if m, ok := idMap[in]; ok && (n.T.S[in] || contains(slicedIn, in)) {
+			if m, ok := idMap[in]; ok && (n.T.S.Has(in) || slices.Contains(slicedIn, in)) {
 				ins = append(ins, m)
 			}
 		}
@@ -322,7 +321,7 @@ func (c *collapser) regionOp(g *graph.Graph, n *ftree.Node, overrides map[graph.
 	// as a resident placeholder and the accumulation Add inside the part,
 	// so the partial's lifetime ends promptly.
 	outs := g.Outs(n.T.S)
-	for v := range outs {
+	for _, v := range outs {
 		if n.T.Choice[v] >= 0 {
 			continue
 		}
@@ -334,7 +333,7 @@ func (c *collapser) regionOp(g *graph.Graph, n *ftree.Node, overrides map[graph.
 	// intermediate enabled node).
 	for _, child := range directEnabledChildren(n) {
 		childOverrides := make(map[graph.NodeID]*ops.Spec, len(child.T.S))
-		for v := range child.T.S {
+		for _, v := range child.T.S {
 			childOverrides[v] = part[v]
 		}
 		cop, err := c.regionOp(g, child, childOverrides)
@@ -342,11 +341,11 @@ func (c *collapser) regionOp(g *graph.Graph, n *ftree.Node, overrides map[graph.
 			return nil, err
 		}
 		// Re-map member IDs into pg's ID space for replacement.
-		s := make(graph.Set, len(child.T.S))
-		for v := range child.T.S {
-			s[idMap[v]] = true
+		ids := make([]graph.NodeID, len(child.T.S))
+		for i, v := range child.T.S {
+			ids[i] = idMap[v]
 		}
-		if _, err := replaceRegion(pg, s, cop); err != nil {
+		if _, err := replaceRegion(pg, graph.NewSet(ids...), cop); err != nil {
 			return nil, err
 		}
 	}
@@ -367,7 +366,7 @@ func (c *collapser) regionOp(g *graph.Graph, n *ftree.Node, overrides map[graph.
 	// are already inside the part graph's accounting.
 	var concatOut, reduceOut int64
 	var mergeLat float64
-	for v := range outs {
+	for _, v := range outs {
 		ps := part[v]
 		bytes := tensor.Bytes(ps.OutShape(), ps.DType())
 		if n.T.Choice[v] > 0 {
@@ -390,7 +389,7 @@ func (c *collapser) regionOp(g *graph.Graph, n *ftree.Node, overrides map[graph.
 		transient = 0
 	}
 	return &RegionOp{
-		name:      fmt.Sprintf("region@%d", smallest(n.T.S)),
+		name:      fmt.Sprintf("region@%d", n.T.S[0]),
 		outBytes:  outBytes,
 		transient: transient,
 		lat:       float64(n.N)*(partLat+sliceLat) + mergeLat,
@@ -403,13 +402,12 @@ func (c *collapser) regionOp(g *graph.Graph, n *ftree.Node, overrides map[graph.
 // Consumers of any region output are rewired to the region node; the
 // region node consumes every external input of s.
 func replaceRegion(eg *graph.Graph, s graph.Set, op *RegionOp) (graph.NodeID, error) {
-	ins := eg.Inps(s).Slice()
-	id := eg.Add(op, ins...)
-	for v := range eg.Outs(s) {
+	id := eg.Add(op, eg.Inps(s)...)
+	for _, v := range eg.Outs(s) {
 		// Rewire only consumers OUTSIDE the region; internal edges vanish
 		// with the members below.
 		for _, c := range eg.Suc(v) {
-			if c != id && !s[c] {
+			if c != id && !s.Has(c) {
 				eg.ReplaceInput(c, v, id)
 			}
 		}
@@ -418,10 +416,10 @@ func replaceRegion(eg *graph.Graph, s graph.Set, op *RegionOp) (graph.NodeID, er
 	// from its outputs back to its inputs (possible when two mutually
 	// interleaved regions are enabled); detect and reject.
 	if _, err := eg.TopoE(); err != nil {
-		return graph.Invalid, fmt.Errorf("%w: region at %d: %w", ErrCollapse, smallest(s), err)
+		return graph.Invalid, fmt.Errorf("%w: region at %d: %w", ErrCollapse, s[0], err)
 	}
 	// Remove members (reverse topo within s so consumer checks pass).
-	members := topoWithin(eg, s)
+	members := eg.TopoWithin(s)
 	for i := len(members) - 1; i >= 0; i-- {
 		if err := eg.Remove(members[i]); err != nil {
 			return graph.Invalid, fmt.Errorf("%w: %w", ErrCollapse, err)
@@ -444,33 +442,4 @@ func directEnabledChildren(n *ftree.Node) []*ftree.Node {
 	}
 	rec(n)
 	return out
-}
-
-func topoWithin(g *graph.Graph, s graph.Set) []graph.NodeID {
-	var out []graph.NodeID
-	for _, v := range g.Topo() {
-		if s[v] {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-func contains(ids []graph.NodeID, v graph.NodeID) bool {
-	for _, id := range ids {
-		if id == v {
-			return true
-		}
-	}
-	return false
-}
-
-func smallest(s graph.Set) graph.NodeID {
-	best := graph.NodeID(1<<31 - 1)
-	for v := range s {
-		if v < best {
-			best = v
-		}
-	}
-	return best
 }

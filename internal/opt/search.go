@@ -808,7 +808,7 @@ func regionAnchors(s *State, n *ftree.Node) []graph.NodeID {
 		return []graph.NodeID{id}
 	}
 	var out []graph.NodeID
-	for v := range n.T.S {
+	for _, v := range n.T.S {
 		if s.EvalG.Has(v) {
 			out = append(out, v)
 		}

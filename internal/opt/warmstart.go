@@ -94,7 +94,7 @@ func (r *PlanRecord) SeedFor(g *graph.Graph) (*State, error) {
 // partially replayable hierarchy keeps its replayable parts.
 func pruneTree(t *ftree.Tree, g, recorded *graph.Graph) *ftree.Tree {
 	valid := func(n *ftree.Node) bool {
-		for v := range n.T.S {
+		for _, v := range n.T.S {
 			if !g.Has(v) {
 				return false
 			}

@@ -79,7 +79,7 @@ func TestWarmStartSeedForOtherBatch(t *testing.T) {
 	// Regions carved out of rewritten subgraphs prune away; whatever
 	// replays must reference only nodes of the target graph.
 	seed.FT.Walk(func(n *ftree.Node) {
-		for v := range n.T.S {
+		for _, v := range n.T.S {
 			if !big.G.Has(v) {
 				t.Fatalf("pruned tree still references absent node %d", v)
 			}
@@ -119,7 +119,7 @@ func TestWarmStartDegradesOnBadSeed(t *testing.T) {
 		t.Fatal(err)
 	}
 	pruned.FT.Walk(func(n *ftree.Node) {
-		for v := range n.T.S {
+		for _, v := range n.T.S {
 			if !tiny.G.Has(v) {
 				t.Fatalf("pruned tree references node %d absent from target", v)
 			}

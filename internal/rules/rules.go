@@ -9,6 +9,7 @@ package rules
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"magis/internal/graph"
@@ -79,7 +80,7 @@ func (c *Context) maxSites() int {
 
 func (c *Context) blocked(ids ...graph.NodeID) bool {
 	for _, id := range ids {
-		if c.Cover[id] {
+		if c.Cover.Has(id) {
 			return true
 		}
 	}
@@ -87,7 +88,7 @@ func (c *Context) blocked(ids ...graph.NodeID) bool {
 }
 
 func (c *Context) isHot(id graph.NodeID) bool {
-	return !c.UseHotFilter || c.Hot[id]
+	return !c.UseHotFilter || c.Hot.Has(id)
 }
 
 // Rule is one rewrite family.
@@ -172,7 +173,7 @@ func (RematRule) Apply(g *graph.Graph, ctx *Context) []Application {
 	if len(sites) >= 2 {
 		var cs []chainSite
 		for _, s := range sites {
-			cs = append(cs, chainSite{s[0], s[1], graph.NewSet(s[0])})
+			cs = append(cs, chainSite{s[0], s[1], []graph.NodeID{s[0]}})
 		}
 		sort.Slice(cs, func(i, j int) bool {
 			bi, bj := g.Node(cs[i].a).OutBytes(), g.Node(cs[j].a).OutBytes()
@@ -246,7 +247,7 @@ const chainDepth = 8
 // chainSite is one (tensor, far consumer, recompute chain) candidate.
 type chainSite struct {
 	a, b  graph.NodeID
-	chain graph.Set
+	chain []graph.NodeID
 }
 
 // chainSites enumerates checkpoint candidates: hot multi-consumer tensors
@@ -257,7 +258,7 @@ type chainSite struct {
 func chainSites(g *graph.Graph, ctx *Context) []chainSite {
 	type anchor struct{ a, b graph.NodeID }
 	var anchors []anchor
-	anchorSet := make(graph.Set)
+	var anchorIDs []graph.NodeID
 	for _, a := range g.NodeIDs() {
 		if !rematerializable(g, a) || !ctx.isHot(a) {
 			continue
@@ -271,18 +272,19 @@ func chainSites(g *graph.Graph, ctx *Context) []chainSite {
 			continue
 		}
 		anchors = append(anchors, anchor{a, b})
-		anchorSet[a] = true
+		anchorIDs = append(anchorIDs, a)
 	}
+	anchorSet := graph.NewSet(anchorIDs...)
 	var sites []chainSite
 	for _, an := range anchors {
-		chain := graph.NewSet(an.a)
+		chain := []graph.NodeID{an.a}
 		frontier := []graph.NodeID{an.a}
 		for d := 0; d < chainDepth && len(frontier) > 0; d++ {
 			var next []graph.NodeID
 			for _, v := range frontier {
 				for _, p := range g.Pre(v) {
-					if !chain[p] && !anchorSet[p] && rematerializable(g, p) && !ctx.blocked(p) {
-						chain[p] = true
+					if !slices.Contains(chain, p) && !anchorSet.Has(p) && rematerializable(g, p) && !ctx.blocked(p) {
+						chain = append(chain, p)
 						next = append(next, p)
 					}
 				}
@@ -301,17 +303,15 @@ func chainSites(g *graph.Graph, ctx *Context) []chainSite {
 // duplicates — overlapping chains recompute each ancestor a single time,
 // checkpoint-style) and rewires each site's far consumer.
 func applyChains(g *graph.Graph, ctx *Context, sites []chainSite) Application {
-	union := make(graph.Set)
-	var mutated []graph.NodeID
+	var members, mutated []graph.NodeID
 	for _, s := range sites {
-		for v := range s.chain {
-			union[v] = true
-		}
+		members = append(members, s.chain...)
 		mutated = append(mutated, s.a, s.b)
 	}
+	union := graph.NewSet(members...)
 	ng := ctx.clone(g)
 	dup := make(map[graph.NodeID]graph.NodeID, len(union))
-	for _, v := range topoWithin(g, union) {
+	for _, v := range g.TopoWithin(union) {
 		node := g.Node(v)
 		ins := make([]graph.NodeID, len(node.Ins))
 		for i, in := range node.Ins {
@@ -361,16 +361,6 @@ func (RematChainRule) Apply(g *graph.Graph, ctx *Context) []Application {
 			app := applyChains(g, ctx, sorted[:k])
 			app.Rule = "RematChainBatch"
 			out = append(out, app)
-		}
-	}
-	return out
-}
-
-func topoWithin(g *graph.Graph, s graph.Set) []graph.NodeID {
-	var out []graph.NodeID
-	for _, v := range g.Topo() {
-		if s[v] {
-			out = append(out, v)
 		}
 	}
 	return out

@@ -30,8 +30,8 @@ type Scheduler struct {
 	// partitions and schedules sub-problems of every candidate, and prices
 	// every fission region, so the per-call state lives in tables that
 	// persist across calls instead of per-call allocations.
-	loc     idTable // NodeID -> position in the current sub-problem
-	old     idTable // IncrementalR: NodeID -> position in the old schedule
+	loc     graph.IDTable // NodeID -> position in the current sub-problem
+	old     graph.IDTable // IncrementalR: NodeID -> position in the old schedule
 	edges   memberEdges
 	part    partScratch
 	pb      problem
@@ -159,7 +159,7 @@ func (sc *Scheduler) problemOn(g *graph.Graph, seg []graph.NodeID) *problem {
 	for k, i := range e.topo {
 		p.ids[k] = seg[i]
 		p.hasCons[k] = e.off[i+1] > e.off[i]
-		loc.set(seg[i], int32(k))
+		loc.Put(seg[i], int32(k))
 	}
 	if cap(p.preds) < n {
 		p.preds = make([][]int32, n)
@@ -191,7 +191,7 @@ func (sc *Scheduler) problemOn(g *graph.Graph, seg []graph.NodeID) *problem {
 		base := len(arena)
 	ins:
 		for _, pr := range node.Ins {
-			j, ok := loc.get(pr)
+			j, ok := loc.Get(pr)
 			if !ok {
 				continue
 			}

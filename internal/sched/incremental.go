@@ -52,7 +52,7 @@ func (sc *Scheduler) IncrementalR(gOld, gNew *graph.Graph, oldMutated []graph.No
 	mutated := graph.NewSet(oldMutated...)
 	var sites []int
 	for i, v := range psiOld {
-		if mutated[v] {
+		if mutated.Has(v) {
 			sites = append(sites, i)
 		}
 	}
@@ -69,7 +69,7 @@ func (sc *Scheduler) IncrementalR(gOld, gNew *graph.Graph, oldMutated []graph.No
 		sc.reach(gOld, gOld.NodeIDs())
 		all := gOld.Len()
 		nw = func(v graph.NodeID) int {
-			i, ok := sc.loc.get(v)
+			i, ok := sc.loc.Get(v)
 			if !ok {
 				return -1 // as ReachIndex.NW for a node not in gOld
 			}
@@ -128,9 +128,9 @@ func (sc *Scheduler) IncrementalR(gOld, gNew *graph.Graph, oldMutated []graph.No
 	for _, v := range psiOld {
 		maxID = max(maxID, v)
 	}
-	oldPos.reset(int(maxID) + 1)
+	oldPos.Reset(int(maxID) + 1)
 	for i, v := range psiOld {
-		oldPos.set(v, int32(i))
+		oldPos.Put(v, int32(i))
 		if !gNew.Has(v) {
 			continue
 		}
@@ -141,12 +141,12 @@ func (sc *Scheduler) IncrementalR(gOld, gNew *graph.Graph, oldMutated []graph.No
 	// Assign new nodes (absent from psiOld) to the interval holding one of
 	// their neighbours, defaulting to the last interval.
 	for _, v := range gNew.NodeIDs() {
-		if _, old := oldPos.get(v); old {
+		if _, old := oldPos.Get(v); old {
 			continue
 		}
 		k := len(merged) - 1
 		assign := func(u graph.NodeID) bool {
-			if p, ok := oldPos.get(u); ok {
+			if p, ok := oldPos.Get(u); ok {
 				if i := inInterval(int(p)); i >= 0 {
 					k = i
 					return true

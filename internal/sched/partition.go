@@ -7,44 +7,6 @@ import (
 	"magis/internal/graph"
 )
 
-// idTable maps NodeIDs to int32 values, one generation at a time. It is
-// sized by a graph's ID range once and then reused: starting a generation
-// invalidates every entry without clearing the table, so a sub-problem of
-// k nodes costs O(k) however large the graph's ID range is.
-type idTable struct {
-	gen   uint32
-	stamp []uint32
-	val   []int32
-}
-
-// reset starts a new, empty generation that can hold IDs below n.
-func (t *idTable) reset(n int) {
-	if len(t.stamp) < n {
-		t.stamp = make([]uint32, n+n/4)
-		t.val = make([]int32, len(t.stamp))
-		t.gen = 0
-	}
-	if t.gen++; t.gen == 0 {
-		clear(t.stamp)
-		t.gen = 1
-	}
-}
-
-// set maps v to x in the current generation; v must be below reset's n.
-func (t *idTable) set(v graph.NodeID, x int32) {
-	t.stamp[v] = t.gen
-	t.val[v] = x
-}
-
-// get returns v's value in the current generation; ok is false when v was
-// not set in it.
-func (t *idTable) get(v graph.NodeID) (x int32, ok bool) {
-	if uint(v) < uint(len(t.stamp)) && t.stamp[v] == t.gen {
-		return t.val[v], true
-	}
-	return 0, false
-}
-
 // partScratch is the work storage of segments. Member tables are indexed
 // by a member's position in the sorted member list.
 type partScratch struct {
@@ -276,9 +238,9 @@ func (sc *Scheduler) index(g *graph.Graph, members []graph.NodeID) *memberEdges 
 	e := &sc.edges
 	n := len(members)
 	loc := &sc.loc
-	loc.reset(int(members[n-1]) + 1)
+	loc.Reset(int(members[n-1]) + 1)
 	for i, v := range members {
-		loc.set(v, int32(i))
+		loc.Put(v, int32(i))
 	}
 	indeg := ensureI32(e.indeg, n)
 	off := ensureI32(e.off, n+1)
@@ -288,7 +250,7 @@ func (sc *Scheduler) index(g *graph.Graph, members []graph.NodeID) *memberEdges 
 	total := 0
 	for i, v := range members {
 		for _, u := range g.Node(v).Ins {
-			if j, ok := loc.get(u); ok {
+			if j, ok := loc.Get(u); ok {
 				indeg[i]++
 				off[j+1]++
 				total++
@@ -304,7 +266,7 @@ func (sc *Scheduler) index(g *graph.Graph, members []graph.NodeID) *memberEdges 
 	copy(fill, off[:n])
 	for i, v := range members {
 		for _, u := range g.Node(v).Ins {
-			if j, ok := loc.get(u); ok {
+			if j, ok := loc.Get(u); ok {
 				succ[fill[j]] = int32(i)
 				fill[j]++
 			}

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"slices"
 	"sort"
 
 	"magis/internal/graph"
@@ -8,7 +9,7 @@ import (
 
 // This file keeps the scheduler's former sub-problem path as the
 // differential reference for the in-place one: narrow-waist partitioning
-// over graph.Set members with a Subgraph and a ReachIndex per component,
+// over sorted member lists with a Subgraph and a ReachIndex per component,
 // and problems built from a standalone graph. Each segment was then
 // scheduled as DpSchedule(g.Subgraph(seg)).
 
@@ -18,11 +19,10 @@ import (
 // act as dividing points — everything not descending from a divider is
 // sequenced before it, everything descending after. Returned segments are
 // topologically ordered.
-func refGraphPartition(g *graph.Graph, w graph.Set) []graph.Set {
-	var segs []graph.Set
+func refGraphPartition(g *graph.Graph, w graph.Set) [][]graph.NodeID {
+	var segs [][]graph.NodeID
 	for _, comp := range g.Components(w) {
-		compSet := graph.NewSet(comp...)
-		sub := g.Subgraph(compSet)
+		sub := g.Subgraph(graph.NewSet(comp...))
 		reach := graph.NewReachIndex(sub)
 		var dividers []graph.NodeID
 		for _, v := range comp {
@@ -37,27 +37,23 @@ func refGraphPartition(g *graph.Graph, w graph.Set) []graph.Set {
 			}
 			return dividers[i] < dividers[j]
 		})
-		remaining := compSet.Clone()
+		remaining := comp
 		for _, d := range dividers {
-			if !remaining[d] {
+			if !slices.Contains(remaining, d) {
 				continue
 			}
-			seg := make(graph.Set)
-			for v := range remaining {
-				if !reach.IsDes(d, v) {
-					seg[v] = true
+			var seg, next []graph.NodeID
+			for _, v := range remaining {
+				if reach.IsDes(d, v) {
+					next = append(next, v)
+				} else {
+					seg = append(seg, v)
 				}
 			}
-			if len(seg) == 0 || len(seg) == len(remaining) {
+			if len(seg) == 0 || len(next) == 0 {
 				continue
 			}
 			segs = append(segs, seg)
-			next := make(graph.Set)
-			for v := range remaining {
-				if reach.IsDes(d, v) {
-					next[v] = true
-				}
-			}
 			remaining = next
 		}
 		if len(remaining) > 0 {

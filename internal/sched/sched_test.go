@@ -48,7 +48,7 @@ func TestSimulateSkipConnection(t *testing.T) {
 	if got := prof.PerStep[3]; got != 4*30 {
 		t.Errorf("add step mem = %d, want %d", got, 4*30)
 	}
-	if !prof.Hotspots[in] {
+	if !prof.Hotspots.Has(in) {
 		t.Error("skip input should be a hot-spot")
 	}
 }
@@ -140,8 +140,8 @@ func bruteMinPeak(g *graph.Graph) int64 {
 	ids := g.NodeIDs()
 	n := len(ids)
 	best := int64(1) << 62
-	var rec func(order Schedule, used graph.Set)
-	rec = func(order Schedule, used graph.Set) {
+	var rec func(order Schedule, used map[graph.NodeID]bool)
+	rec = func(order Schedule, used map[graph.NodeID]bool) {
 		if len(order) == n {
 			if p := PeakOnly(g, order); p < best {
 				best = p
@@ -167,7 +167,7 @@ func bruteMinPeak(g *graph.Graph) int64 {
 			delete(used, v)
 		}
 	}
-	rec(Schedule{}, graph.Set{})
+	rec(Schedule{}, map[graph.NodeID]bool{})
 	return best
 }
 

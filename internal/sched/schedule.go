@@ -171,17 +171,24 @@ func (sc *Scratch) Simulate(g *graph.Graph, order Schedule) *MemProfile {
 		}
 	}
 	// Hotspots: tensors alive at any step attaining the peak.
-	prof.Hotspots = make(graph.Set)
+	hot := make([]bool, len(order))
 	for i := range order {
 		if prof.PerStep[i] != prof.Peak {
 			continue
 		}
 		for j := 0; j <= i; j++ {
 			if sc.last[j] >= i {
-				prof.Hotspots[order[j]] = true
+				hot[j] = true
 			}
 		}
 	}
+	var ids []graph.NodeID
+	for j, ok := range hot {
+		if ok {
+			ids = append(ids, order[j])
+		}
+	}
+	prof.Hotspots = graph.NewSet(ids...)
 	return prof
 }
 

@@ -25,7 +25,7 @@ func checkSubproblems(t *testing.T, sc *Scheduler, name string, g *graph.Graph, 
 	}
 	segs := make([][]graph.NodeID, len(got))
 	for i, seg := range got {
-		if w := want[i].Slice(); !slices.Equal(seg, w) {
+		if w := want[i]; !slices.Equal(seg, w) {
 			t.Fatalf("%s: segment %d is %v, reference %v", name, i, seg, w)
 		}
 		segs[i] = slices.Clone(seg)
@@ -194,7 +194,7 @@ func TestSubproblemsIncrementalWithoutIndex(t *testing.T) {
 		idx := graph.NewReachIndex(g)
 		sc.reach(g, g.NodeIDs())
 		for _, v := range g.NodeIDs() {
-			i, _ := sc.loc.get(v)
+			i, _ := sc.loc.Get(v)
 			if got := g.Len() - int(sc.part.nAnc[i]) - int(sc.part.nDes[i]) - 1; got != idx.NW(v) {
 				t.Fatalf("graph %d node %d: nw %d, ReachIndex %d", gi, v, got, idx.NW(v))
 			}
