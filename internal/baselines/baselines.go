@@ -42,9 +42,7 @@ func All() []Optimizer {
 
 // measure evaluates a graph+schedule on the shared simulator.
 func measure(g *graph.Graph, order sched.Schedule, m *cost.Model) (int64, float64) {
-	peak := sched.PeakOnly(g, order)
-	r := sim.Run(g, order, sim.Config{Model: m})
-	return peak, r.Latency
+	return sched.PeakOnly(g, order), sim.Latency(g, order, sim.Config{Model: m})
 }
 
 // PyTorch is the unoptimized reference: program order, tensors freed after

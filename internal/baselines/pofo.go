@@ -8,7 +8,6 @@ import (
 	"magis/internal/graph"
 	"magis/internal/ops"
 	"magis/internal/sched"
-	"magis/internal/sim"
 )
 
 // POFO models Beaumont et al. (NeurIPS'21): optimal combination of
@@ -169,9 +168,8 @@ func pofoOnce(g *graph.Graph, m *cost.Model, memLimit, need int64, order sched.S
 	}
 	// Apply the chosen actions as graph transformations and re-measure.
 	ng, norder := applyStash(g, cands, choice[target], order)
-	peak := sched.PeakOnly(ng, norder)
-	r := sim.Run(ng, norder, sim.Config{Model: m})
-	return Result{peak, r.Latency, peak <= memLimit}, ng, norder
+	peak, lat := measure(ng, norder, m)
+	return Result{peak, lat, peak <= memLimit}, ng, norder
 }
 
 // stashTensors finds forward activations consumed after the loss point,

@@ -45,9 +45,9 @@ func checkPlan(t *testing.T, g *graph.Graph, order sched.Schedule) {
 // undercuts the lifetime peak.
 func FuzzBuild(f *testing.F) {
 	f.Add([]byte{})
-	f.Add([]byte{0, 10, 1, 0, 1, 1})       // chain of eltwise ops
-	f.Add([]byte{0, 5, 0, 5, 2, 0, 2, 1})  // diamond of adds
-	f.Add([]byte{0, 9, 3, 0, 1, 2, 3, 1})  // swap (Store/Load) pairs
+	f.Add([]byte{0, 10, 1, 0, 1, 1})      // chain of eltwise ops
+	f.Add([]byte{0, 5, 0, 5, 2, 0, 2, 1}) // diamond of adds
+	f.Add([]byte{0, 9, 3, 0, 1, 2, 3, 1}) // swap (Store/Load) pairs
 	f.Add([]byte{0, 200, 0, 3, 1, 1, 2, 2, 3, 0, 1, 4, 2, 5, 3, 6})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 64 {

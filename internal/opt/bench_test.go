@@ -17,6 +17,7 @@ func benchState(tb testing.TB) (*State, *Result) {
 	if err := ev.evaluate(st, nil, nil); err != nil {
 		tb.Fatal(err)
 	}
+	ev.hot(st)
 	st.FT = ftree.Build(st.G, st.Hot, ftree.Options{})
 	return st, res
 }

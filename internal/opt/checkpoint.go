@@ -21,7 +21,6 @@ import (
 	"magis/internal/graphio"
 	"magis/internal/rules"
 	"magis/internal/sched"
-	"magis/internal/sim"
 )
 
 // Checkpointing makes long searches crash-safe. At every expansion
@@ -280,8 +279,9 @@ type ruleErrRec struct {
 }
 
 // stateRec serializes one M-State: the logical graph (ID-exact), the
-// F-Tree, and the schedule. EvalG, regions, PeakMem, Latency, and Hot are
-// recomputed deterministically on restore.
+// F-Tree, and the schedule. EvalG, regions, PeakMem, and Latency are
+// recomputed deterministically on restore, and Hot when the state is
+// expanded.
 type stateRec struct {
 	G     *graphio.GraphRecord `json:"g"`
 	FT    []*ftNodeRec         `json:"ft,omitempty"`
@@ -458,7 +458,7 @@ func recordState(s *State) (*stateRec, error) {
 }
 
 // restoreState rebuilds a State and recomputes its derived fields (EvalG,
-// regions, PeakMem, Hot, Latency) with the same deterministic pipeline
+// regions, PeakMem, Latency) with the same deterministic pipeline
 // that produced them, using ev's scratch buffers without touching its
 // stats counters.
 func restoreState(rec *stateRec, ev *evaluator) (*State, error) {
@@ -479,11 +479,7 @@ func restoreState(rec *stateRec, ev *evaluator) (*State, error) {
 		return nil, fmt.Errorf("opt: checkpoint: state collapse: %w", err)
 	}
 	s.Sched = append(sched.Schedule(nil), rec.Sched...)
-	prof := ev.ss.Simulate(s.EvalG, s.Sched)
-	s.PeakMem = prof.Peak
-	s.Hot = prof.Hotspots
-	r := sim.Run(s.EvalG, s.Sched, sim.Config{Model: ev.model, NodeCost: regionNodeCost})
-	s.Latency = r.Latency
+	ev.price(s)
 	return s, nil
 }
 

@@ -3,6 +3,7 @@ package opt
 import (
 	"context"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -12,6 +13,7 @@ import (
 	"magis/internal/models"
 	"magis/internal/ops"
 	"magis/internal/sched"
+	"magis/internal/sim"
 	"magis/internal/tensor"
 )
 
@@ -32,6 +34,50 @@ func TestBaselineMatchesTopo(t *testing.T) {
 	}
 	if b.Latency <= 0 {
 		t.Error("baseline latency must be positive")
+	}
+}
+
+// TestEvaluateDefersHotspots: evaluation prices a candidate by its peak and
+// latency only, leaving the hot-spot set to the expansion that reads it,
+// and both agree with the full simulations.
+func TestEvaluateDefersHotspots(t *testing.T) {
+	res := &Result{}
+	ev := newEvaluator(model(), false, false, &res.Stats)
+	check := func(s *State) {
+		t.Helper()
+		if s.Hot != nil {
+			t.Fatalf("evaluated state holds a hot set of %d nodes", len(s.Hot))
+		}
+		prof := sched.Simulate(s.EvalG, s.Sched)
+		if s.PeakMem != prof.Peak {
+			t.Errorf("PeakMem %d, Simulate peak %d", s.PeakMem, prof.Peak)
+		}
+		r := sim.Run(s.EvalG, s.Sched, sim.Config{Model: ev.model, NodeCost: regionNodeCost})
+		if s.Latency != r.Latency {
+			t.Errorf("Latency %v, Run latency %v", s.Latency, r.Latency)
+		}
+		ev.hot(s)
+		if !slices.Equal(s.Hot, prof.Hotspots) {
+			t.Errorf("hot set %v, Simulate hotspots %v", s.Hot, prof.Hotspots)
+		}
+	}
+	parent := &State{G: fatMLP()}
+	if err := ev.evaluate(parent, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	check(parent)
+	parent.FT = ftree.Build(parent.G, parent.Hot, ftree.Options{})
+	o := Options{}
+	o.defaults()
+	cands := neighbors(parent, &o, res, newQuarantine(o.QuarantineAfter), nil)
+	if len(cands) == 0 {
+		t.Fatal("no candidates generated")
+	}
+	for _, c := range cands {
+		if err := ev.evaluate(c.state, parent, c.oldMutated); err != nil {
+			t.Fatal(err)
+		}
+		check(c.state)
 	}
 }
 

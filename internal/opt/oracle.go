@@ -140,6 +140,7 @@ func oracleSequence(cfg *OracleConfig, rep *OracleReport, seq int) {
 			return err
 		}
 		inc.hash(parent, nil) // capture the WL snapshot children splice into
+		inc.hot(parent)
 		parent.FT = ftree.Build(parent.G, parent.Hot, ftOpts)
 		return nil
 	}); err != nil {
@@ -184,6 +185,7 @@ func oracleSequence(cfg *OracleConfig, rep *OracleReport, seq int) {
 		if next == nil {
 			return
 		}
+		inc.hot(next)
 		if next.stale {
 			if err := guard("oracle", "tree rebuild", func() error {
 				next.FT = rebuildTree(next, ftOpts)
@@ -233,7 +235,7 @@ func oracleCandidate(cfg *OracleConfig, rep *OracleReport, seq, step int, inc, r
 	// Full-reschedule reference: evaluate with the strict evaluator, then
 	// restore the incremental results so the chained walk matches a real
 	// search trajectory.
-	incSched, incPeak, incLat, incHot := s.Sched, s.PeakMem, s.Latency, s.Hot
+	incSched, incPeak, incLat := s.Sched, s.PeakMem, s.Latency
 	if err := guard(cand.rule, cand.site, func() error {
 		return ref.evaluate(s, parent, cand.oldMutated)
 	}); err == nil {
@@ -245,7 +247,7 @@ func oracleCandidate(cfg *OracleConfig, rep *OracleReport, seq, step int, inc, r
 				where, incPeak, cfg.Window, s.PeakMem)
 		}
 	}
-	s.Sched, s.PeakMem, s.Latency, s.Hot = incSched, incPeak, incLat, incHot
+	s.Sched, s.PeakMem, s.Latency = incSched, incPeak, incLat
 	rep.SchedChecks++
 	return true
 }

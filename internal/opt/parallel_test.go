@@ -251,6 +251,7 @@ func TestSharedFTreeIsCopyOnWrite(t *testing.T) {
 	if err := ev.evaluate(st, nil, nil); err != nil {
 		t.Fatal(err)
 	}
+	ev.hot(st)
 	st.FT = ftree.Build(st.G, st.Hot, ftree.Options{})
 	before := st.FT.Size()
 	enabledBefore := len(st.FT.EnabledNodes())

@@ -280,13 +280,12 @@ func (q *stateQueue) Pop() interface{} {
 func Baseline(g *graph.Graph, model *cost.Model) *State {
 	order := sched.Schedule(g.Topo())
 	prof := sched.Simulate(g, order)
-	r := sim.Run(g, order, sim.Config{Model: model})
 	return &State{
 		G:       g,
 		EvalG:   g,
 		Sched:   order,
 		PeakMem: prof.Peak,
-		Latency: r.Latency,
+		Latency: sim.Latency(g, order, sim.Config{Model: model}),
 		Hot:     prof.Hotspots,
 	}
 }
@@ -353,6 +352,7 @@ func OptimizeSeeded(ctx context.Context, g *graph.Graph, model *cost.Model, o Op
 	if o.DisableFission {
 		init.FT = &ftree.Tree{}
 	} else if err := guard(ftreeRuleName, "initial F-Tree build", func() error {
+		ev.hot(init)
 		t := time.Now()
 		init.FT = ftree.Build(init.G, init.Hot, ftOpts)
 		res.Stats.FTreeTime += time.Since(t)
@@ -529,6 +529,7 @@ func (l *searchLoop) run(ctx context.Context) {
 		}
 		res.Stats.Iterations++
 		s := heap.Pop(l.q).(*State)
+		ev.hot(s)
 		if s.stale {
 			if o.DisableFission {
 				s.FT = &ftree.Tree{}

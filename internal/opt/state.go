@@ -28,7 +28,8 @@ type State struct {
 	// Latency is the simulated makespan in seconds (copy-stream overlap
 	// included).
 	Latency float64
-	// Hot is the memory hot-spot set of the schedule.
+	// Hot is the memory hot-spot set of the schedule, nil until the state
+	// is expanded (see evaluator.hot).
 	Hot graph.Set
 	// regions maps regionKey -> region node in EvalG (incremental
 	// scheduling anchors).
@@ -57,7 +58,8 @@ func (s *State) Summary() string {
 // The phase timers are worker time: with Workers > 1 they sum the busy
 // times of all workers, so their shares are taken of elapsed time ×
 // Workers, not of elapsed time. The phases are disjoint: rule application
-// (Trans), region collapse, WL hashing, scheduling, simulation, and F-Tree
+// (Trans), region collapse, WL hashing, scheduling, simulation (candidate
+// pricing, plus the hot-spot set of each popped state), and F-Tree
 // construction and re-analysis (FTreeTime, on the search goroutine).
 type Stats struct {
 	Trans, Sched, Simul, Hash, Filtered int
@@ -182,9 +184,10 @@ func (e *evaluator) collapse(s *State) error {
 	return nil
 }
 
-// evaluate fills in EvalG, Sched, PeakMem, Latency, and Hot for s. prev is
-// the parent state (nil for the initial one); oldMutated lists the parent
-// EvalG nodes touched by the transformation that produced s.
+// evaluate fills in EvalG, Sched, PeakMem, and Latency for s; Hot stays
+// nil until the state is expanded (see hot). prev is the parent state (nil
+// for the initial one); oldMutated lists the parent EvalG nodes touched by
+// the transformation that produced s.
 func (e *evaluator) evaluate(s *State, prev *State, oldMutated []graph.NodeID) error {
 	if s.EvalG == nil {
 		if err := e.collapse(s); err != nil {
@@ -212,22 +215,35 @@ func (e *evaluator) evaluate(s *State, prev *State, oldMutated []graph.NodeID) e
 	e.stats.SchedTime += time.Since(t0)
 
 	t1 := time.Now()
-	prof := e.ss.Simulate(eg, s.Sched)
-	s.PeakMem = prof.Peak
-	s.Hot = prof.Hotspots
-	r := sim.Run(eg, s.Sched, sim.Config{
-		Model:    e.model,
-		NodeCost: regionNodeCost,
-	})
-	s.Latency = r.Latency
+	e.price(s)
 	e.stats.Simul++
 	e.stats.SimulTime += time.Since(t1)
 	return nil
 }
 
+// price fills in PeakMem and Latency for s from its EvalG and Sched: the
+// two numbers the search ranks a candidate by. Shared by live evaluation
+// and checkpoint restore so both price identically.
+func (e *evaluator) price(s *State) {
+	s.PeakMem = e.ss.PeakOnly(s.EvalG, s.Sched)
+	s.Latency = sim.Latency(s.EvalG, s.Sched, sim.Config{Model: e.model, NodeCost: regionNodeCost})
+}
+
+// hot fills in s.Hot, the hot-spot set of s's schedule, unless it is
+// already known. Only an expanded state's hot set is read (to filter rule
+// sites and re-analyze the F-Tree), so evaluation leaves it nil and the
+// search derives it here once per pop rather than once per candidate.
+func (e *evaluator) hot(s *State) {
+	if s.Hot != nil {
+		return
+	}
+	t := time.Now()
+	s.Hot = e.ss.Simulate(s.EvalG, s.Sched).Hotspots
+	e.stats.SimulTime += time.Since(t)
+}
+
 // regionNodeCost prices collapsed fission regions by their analytically
-// computed latency; every other node falls back to the cost model. Shared
-// by live evaluation and checkpoint restore so both price identically.
+// computed latency; every other node falls back to the cost model.
 func regionNodeCost(n *graph.Node) (float64, bool) {
 	if rop, ok := n.Op.(*RegionOp); ok {
 		return rop.Latency(), true

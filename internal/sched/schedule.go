@@ -99,7 +99,7 @@ type MemProfile struct {
 // zero value is ready to use; a Scratch must not be shared between
 // goroutines.
 type Scratch struct {
-	pos    map[graph.NodeID]int
+	pos    graph.IDTable
 	freeAt [][]graph.NodeID
 	last   []int
 }
@@ -109,13 +109,9 @@ type Scratch struct {
 // step through which order[i]'s output stays alive.
 func (sc *Scratch) lifetimes(g *graph.Graph, order Schedule) {
 	n := len(order)
-	if sc.pos == nil {
-		sc.pos = make(map[graph.NodeID]int, n)
-	} else {
-		clear(sc.pos)
-	}
+	sc.pos.Reset(int(g.NextID()))
 	for i, v := range order {
-		sc.pos[v] = i
+		sc.pos.Put(v, int32(i))
 	}
 	if cap(sc.freeAt) < n {
 		sc.freeAt = make([][]graph.NodeID, n)
@@ -133,8 +129,8 @@ func (sc *Scratch) lifetimes(g *graph.Graph, order Schedule) {
 	for i, v := range order {
 		f := i // if never consumed, freed at end (kept alive through i=own)
 		g.EachSucEdge(v, func(c graph.NodeID) {
-			if p, ok := sc.pos[c]; ok && p > f {
-				f = p
+			if p, ok := sc.pos.Get(c); ok && int(p) > f {
+				f = int(p)
 			}
 		})
 		if g.SucEdges(v) == 0 {

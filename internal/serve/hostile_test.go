@@ -289,8 +289,8 @@ func TestClientShareIsolation(t *testing.T) {
 	s := New(Config{
 		Model: testModel(), StallWindow: -1, Workers: 1, QueueDepth: 16,
 		DefaultBudget: time.Second,
-		AdmitBudget:   time.Hour,  // global budget never binds here
-		ClientShare:   0.00034,    // ~1.2s of the hour: one ~1.1s job fits, two do not
+		AdmitBudget:   time.Hour, // global budget never binds here
+		ClientShare:   0.00034,   // ~1.2s of the hour: one ~1.1s job fits, two do not
 	})
 	s.runSearch = func(ctx context.Context, j *job) (*opt.Result, error) {
 		select {

@@ -8,7 +8,8 @@
 package sim
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"magis/internal/cost"
 	"magis/internal/graph"
@@ -148,20 +149,38 @@ type Result struct {
 	Faults []FaultPoint
 }
 
-// Run simulates executing g in the given order under cfg.
+// Run simulates executing g in the given order under cfg: the timing pass
+// of Latency, then continuous-time memory accounting over its start and
+// finish times.
 func Run(g *graph.Graph, order sched.Schedule, cfg Config) *Result {
-	n := len(order)
 	res := &Result{}
-	// Dense ID-indexed timing tables: a valid schedule covers every node,
-	// so every producer/consumer looked up below appears in order.
+	start, finish := timing(g, order, cfg, res)
+	memory(g, order, start, finish, cfg.Timeline, res)
+	return res
+}
+
+// Latency is Run(g, order, cfg).Latency without the memory pass: the
+// makespan alone, for callers that price a schedule by its time.
+func Latency(g *graph.Graph, order sched.Schedule, cfg Config) float64 {
+	var res Result
+	timing(g, order, cfg, &res)
+	return res.Latency
+}
+
+// timing is the timing pass: it dispatches order on the compute and copy
+// streams, fills res's latency, busy-time and fault fields, and returns
+// every node's start and finish time in dense ID-indexed tables. A valid
+// schedule covers every node, so every producer/consumer looked up in
+// them appears in order.
+func timing(g *graph.Graph, order sched.Schedule, cfg Config, res *Result) (start, finish []float64) {
 	bound := graph.NodeID(0)
 	for _, v := range order {
 		if v >= bound {
 			bound = v + 1
 		}
 	}
-	start := make([]float64, bound)
-	finish := make([]float64, bound)
+	start = make([]float64, bound)
+	finish = make([]float64, bound)
 
 	latency := func(node *graph.Node) float64 {
 		if cfg.NodeCost != nil {
@@ -252,13 +271,19 @@ func Run(g *graph.Graph, order sched.Schedule, cfg Config) *Result {
 			res.Latency = finish[v]
 		}
 	}
+	return start, finish
+}
 
-	// Continuous-time memory accounting.
+// memory is the memory pass: tensors are allocated when their producer
+// starts and freed when their last consumer finishes, and res.Peak is the
+// most device memory in use at any instant.
+func memory(g *graph.Graph, order sched.Schedule, start, finish []float64, timeline bool, res *Result) {
+	bound := graph.NodeID(len(finish))
 	type event struct {
 		t     float64
 		delta int64
 	}
-	events := make([]event, 0, 2*n)
+	events := make([]event, 0, 2*len(order))
 	for _, v := range order {
 		node := g.Node(v)
 		bytes := sched.OutDeviceBytes(node)
@@ -282,11 +307,11 @@ func Run(g *graph.Graph, order sched.Schedule, cfg Config) *Result {
 		}
 		events = append(events, event{start[v], bytes}, event{freeAt, -bytes})
 	}
-	sort.Slice(events, func(i, j int) bool {
-		if events[i].t != events[j].t {
-			return events[i].t < events[j].t
+	slices.SortFunc(events, func(a, b event) int {
+		if c := cmp.Compare(a.t, b.t); c != 0 {
+			return c
 		}
-		return events[i].delta < events[j].delta // frees before allocs at ties
+		return cmp.Compare(a.delta, b.delta) // frees before allocs at ties
 	})
 	var cur int64
 	for _, e := range events {
@@ -294,9 +319,8 @@ func Run(g *graph.Graph, order sched.Schedule, cfg Config) *Result {
 		if cur > res.Peak {
 			res.Peak = cur
 		}
-		if cfg.Timeline {
+		if timeline {
 			res.Timeline = append(res.Timeline, Point{e.t, cur})
 		}
 	}
-	return res
 }

@@ -37,10 +37,10 @@ func TestQuantizeKnownValues(t *testing.T) {
 		{BF16, 1.0, 1.0},
 		{BF16, math.Pi, 3.140625},
 		{F16, math.Pi, 3.140625},
-		{F16, 65504, 65504},          // max finite f16
-		{F16, 65520, math.Inf(1)},    // rounds past max finite
+		{F16, 65504, 65504},                           // max finite f16
+		{F16, 65520, math.Inf(1)},                     // rounds past max finite
 		{F16, math.Ldexp(1, -24), math.Ldexp(1, -24)}, // min subnormal
-		{F16, math.Ldexp(1, -26), 0}, // underflow
+		{F16, math.Ldexp(1, -26), 0},                  // underflow
 		{I64, 3.9, 3},
 		{I64, -3.9, -3},
 		{I32, math.NaN(), 0},
