@@ -1,8 +1,6 @@
 package dgraph
 
 import (
-	"sort"
-
 	"magis/internal/graph"
 )
 
@@ -23,40 +21,29 @@ func ChoiceFor(d *DGraph, g *graph.Graph, comp Component, s graph.Set) (Choice, 
 	// Candidate axes per member, restricted to the component.
 	cands := make(map[graph.NodeID][]int, len(s))
 	for _, v := range s {
-		var axes []int
-		for _, a := range d.byNode[v] {
-			if comp.Has(DimNode{v, a}) {
-				axes = append(axes, a)
-			}
-		}
-		if len(axes) == 0 {
+		// Deterministic preference: positive axes first, ascending, then
+		// reduce axes from -1 down.
+		run := comp.vertices(v)
+		if len(run) == 0 {
 			return nil, false // node untouched by this dimension
 		}
-		// Deterministic preference: positive axes first, ascending.
-		sort.Slice(axes, func(i, j int) bool {
-			pi, pj := axes[i] > 0, axes[j] > 0
-			if pi != pj {
-				return pi
-			}
-			if pi {
-				return axes[i] < axes[j]
-			}
-			return axes[i] > axes[j]
-		})
+		reduce := 0
+		for reduce < len(run) && run[reduce].Axis < 0 {
+			reduce++
+		}
+		axes := make([]int, 0, len(run))
+		for _, dn := range run[reduce:] {
+			axes = append(axes, dn.Axis)
+		}
+		for i := reduce - 1; i >= 0; i-- {
+			axes = append(axes, run[i].Axis)
+		}
 		cands[v] = axes
 	}
 	// Constraint propagation over internal edges until a fixpoint, then
 	// commit the preferred candidate node by node (re-propagating after
 	// each commit). The per-edge relation: choice[u] -> choice[v] must be
 	// an edge of D.
-	edgeOK := func(u graph.NodeID, au int, v graph.NodeID, av int) bool {
-		for _, to := range d.out[DimNode{u, au}] {
-			if to.Node == v && to.Axis == av {
-				return true
-			}
-		}
-		return false
-	}
 	type edge struct{ u, v graph.NodeID }
 	var edges []edge
 	for _, v := range s {
@@ -76,7 +63,7 @@ func ChoiceFor(d *DGraph, g *graph.Graph, comp Component, s graph.Set) (Choice, 
 				for _, av := range cands[e.v] {
 					ok := false
 					for _, au := range cands[e.u] {
-						if au > 0 && edgeOK(e.u, au, e.v, av) {
+						if au > 0 && d.feeds(e.u, au, e.v, av) {
 							ok = true
 							break
 						}
@@ -102,7 +89,7 @@ func ChoiceFor(d *DGraph, g *graph.Graph, comp Component, s graph.Set) (Choice, 
 					}
 					ok := false
 					for _, av := range cands[e.v] {
-						if edgeOK(e.u, au, e.v, av) {
+						if d.feeds(e.u, au, e.v, av) {
 							ok = true
 							break
 						}
@@ -147,11 +134,12 @@ func ChoiceFor(d *DGraph, g *graph.Graph, comp Component, s graph.Set) (Choice, 
 			if s.Has(u) {
 				continue
 			}
-			for _, a := range d.byNode[u] {
+			for _, dn := range d.axes(u) {
+				a := dn.Axis
 				if a <= 0 {
 					continue
 				}
-				if edgeOK(u, a, v, choice[v]) {
+				if d.feeds(u, a, v, choice[v]) {
 					if prev, ok := choice[u]; ok && prev != a {
 						return nil, false
 					}

@@ -8,14 +8,13 @@
 package ftree
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"magis/internal/dgraph"
 	"magis/internal/fission"
 	"magis/internal/graph"
-	"magis/internal/sched"
 )
 
 // Node is one F-Tree node: a fission candidate with its current state.
@@ -62,20 +61,6 @@ func (n *Node) HasEnabledDescendant() bool {
 // graph-level dimension.
 type Tree struct {
 	Roots []*Node
-
-	// domCache retains, per dominator-analysis component (keyed by its
-	// main entry node), the derived dominator graph and tree the build
-	// computed. BuildFrom seeds the next build's dominator computation
-	// from it (graph.DominatorsFrom), re-solving only nodes a rewrite
-	// touched. Immutable after Build and shared across Clone.
-	domCache map[graph.NodeID]domEntry
-}
-
-// domEntry is one cached dominator computation: the pruned component
-// subgraph it ran on and the resulting tree.
-type domEntry struct {
-	g  *graph.Graph
-	dt *graph.DomTree
 }
 
 // Clone deep-copies the tree structure (sharing the immutable Trans).
@@ -83,7 +68,7 @@ func (t *Tree) Clone() *Tree {
 	if t == nil {
 		return nil
 	}
-	c := &Tree{domCache: t.domCache}
+	c := &Tree{}
 	var cp func(n *Node, parent *Node) *Node
 	cp = func(n *Node, parent *Node) *Node {
 		m := &Node{T: n.T, N: n.N, Score: n.Score, Level: n.Level, Parent: parent}
@@ -97,19 +82,6 @@ func (t *Tree) Clone() *Tree {
 	}
 	return c
 }
-
-// ReleaseCache drops the dominator cache that warm-starts BuildFrom. The
-// tree itself is unchanged; a BuildFrom from it afterwards solves every
-// component cold and returns the same tree. Clones keep their own handle
-// on the cache.
-func (t *Tree) ReleaseCache() {
-	if t != nil {
-		t.domCache = nil
-	}
-}
-
-// HasCache reports whether the tree still holds a dominator cache.
-func (t *Tree) HasCache() bool { return t != nil && t.domCache != nil }
 
 // Walk visits every node depth-first.
 func (t *Tree) Walk(f func(*Node)) {
@@ -173,133 +145,33 @@ func (o Options) maxLevel() int {
 	return 4
 }
 
-// Build constructs the F-Tree for g (Algorithm 1). hot is the memory
-// hot-spot set H from the current schedule's memory profile.
-func Build(g *graph.Graph, hot graph.Set, opt Options) *Tree {
-	return BuildFrom(g, hot, opt, nil)
+// cand is a candidate tree node with the dominator it was built from.
+type cand struct {
+	*Node
+	dom graph.NodeID
 }
 
-// BuildFrom is Build warm-started from a previous state's tree: each
-// component's dominator computation reuses prev's cached result for the
-// matching component (same main entry node), re-solving only the nodes
-// the intervening rewrite dirtied. The result is identical to a cold
-// Build — DominatorsFrom is exact — only cheaper.
-func BuildFrom(g *graph.Graph, hot graph.Set, opt Options, prev *Tree) *Tree {
-	L := opt.maxLevel()
+// Build constructs the F-Tree for g (Algorithm 1). hot is the memory
+// hot-spot set H from the current schedule's memory profile. The D-Graph
+// components are analyzed one after another, in component order.
+func Build(g *graph.Graph, hot graph.Set, opt Options) *Tree {
 	d := dgraph.Build(g)
-	// cand is a tree node with the dominator it was built from.
-	type cand struct {
-		*Node
-		dom graph.NodeID
-	}
+	sc := scratches.Get().(*scratch)
 	var cands []cand
-	domCache := make(map[graph.NodeID]domEntry)
-	var notInnermost graph.IDTable
 	for _, comp := range d.Components() {
-		compNodes := comp.GraphNodes()
-		sub := g.Subgraph(compNodes)
-		if sub.Len() < 2 {
-			continue
-		}
-		// §2.1: the dominator tree takes THE input tensor as entry.
-		// Secondary entries of the component (labels, positions, sliced
-		// side inputs) must not break domination, so the tree is computed
-		// with their edges removed; the nodes themselves remain available
-		// as sliced inputs of candidates.
-		domGraph := sub
-		key := graph.Invalid
-		if entries := sub.Inputs(); len(entries) == 1 {
-			key = entries[0]
-		} else if len(entries) > 1 {
-			main := entries[0]
-			best := -1
-			for _, e := range entries {
-				if n := len(sub.Des(e)); n > best {
-					best = n
-					main = e
-				}
-			}
-			var pruned []graph.NodeID
-			for _, v := range compNodes {
-				if v == main || !slices.Contains(entries, v) {
-					pruned = append(pruned, v)
-				}
-			}
-			domGraph = g.Subgraph(graph.NewSet(pruned...))
-			key = main
-		}
-		var dt *graph.DomTree
-		if prev != nil && key != graph.Invalid {
-			if ent, ok := prev.domCache[key]; ok {
-				dt = graph.DominatorsFrom(ent.dt, ent.g, domGraph)
-			}
-		}
-		if dt == nil {
-			dt = graph.Dominators(domGraph)
-		}
-		if key != graph.Invalid {
-			domCache[key] = domEntry{g: domGraph, dt: dt}
-		}
-		scores := heatScores(g, domGraph, dt, hot, opt.NaiveFission)
-		smax := 0.0
-		for _, s := range scores {
-			if s > smax {
-				smax = s
-			}
-		}
-		if smax <= 0 {
-			continue
-		}
-		for i := 1; i <= L; i++ {
-			lo, hi := float64(i)/float64(L), float64(i+1)/float64(L)
-			var bucket []graph.NodeID
-			for v, s := range scores {
-				r := s / smax
-				if r >= lo && r < hi {
-					bucket = append(bucket, v)
-				}
-			}
-			slices.Sort(bucket)
-			// Select dominators whose dominated set contains no other
-			// bucket member (Algorithm 1 line 11): walk each member's
-			// dominator chain marking proper ancestors as non-innermost.
-			notInnermost.Reset(int(g.NextID()))
-			for _, w := range bucket {
-				for p := dt.Parent[w]; p != graph.Invalid; p = dt.Parent[p] {
-					if _, ok := notInnermost.Get(p); ok {
-						break
-					}
-					notInnermost.Put(p, 0)
-				}
-			}
-			for _, vdom := range bucket {
-				if _, ok := notInnermost.Get(vdom); ok {
-					continue
-				}
-				s := dt.Des(vdom)
-				if len(s) == 0 {
-					continue
-				}
-				tr, err := fission.Resolve(g, d, comp, s, 1)
-				if err != nil {
-					continue
-				}
-				if tr.MaxParts(g) < 2 {
-					continue
-				}
-				cands = append(cands, cand{&Node{T: tr, N: 1, Score: scores[vdom], Level: i}, vdom})
-			}
-		}
+		cands = append(cands, sc.candidates(g, d, comp, hot, opt)...)
 	}
-	// A total order: each dominator yields at most one candidate.
-	sort.Slice(cands, func(i, j int) bool {
-		if len(cands[i].T.S) != len(cands[j].T.S) {
-			return len(cands[i].T.S) > len(cands[j].T.S)
+	scratches.Put(sc)
+	// One node can dominate in several components, so equal keys occur;
+	// the stable sort leaves them in component order.
+	slices.SortStableFunc(cands, func(a, b cand) int {
+		if c := cmp.Compare(len(b.T.S), len(a.T.S)); c != 0 {
+			return c
 		}
-		if cands[i].Score != cands[j].Score {
-			return cands[i].Score > cands[j].Score
+		if c := cmp.Compare(b.Score, a.Score); c != 0 {
+			return c
 		}
-		return cands[i].dom < cands[j].dom
+		return cmp.Compare(a.dom, b.dom)
 	})
 	if opt.MaxCandidates > 0 && len(cands) > opt.MaxCandidates {
 		cands = cands[:opt.MaxCandidates]
@@ -308,7 +180,7 @@ func BuildFrom(g *graph.Graph, hot graph.Set, opt Options, prev *Tree) *Tree {
 	// under the smallest candidate strictly containing it; candidates that
 	// partially overlap an already-kept candidate are dropped (enabling
 	// two interleaved regions would make collapsed evaluation cyclic).
-	t := &Tree{domCache: domCache}
+	t := &Tree{}
 	var kept []*Node
 	for _, cd := range cands {
 		c := cd.Node
@@ -345,52 +217,6 @@ func (t *Tree) smallestContainer(c *Node) *Node {
 		}
 	})
 	return best
-}
-
-// heatScores computes Equation (3)/(4)'s memory-heat score for every node
-// in one O(V) post-order pass over the dominator tree:
-//
-//	heat(v) = sum of hot-spot bytes strictly dominated by v
-//	score(v) = (1 - 1/n) * heat(v)  with n = 2
-//
-// The exact Equation (4) additionally subtracts the candidate's input
-// residency; computing inps(des(v)) for every node is Theta(V^2), so the
-// input term is deferred to candidate validation (fission.Resolve) and the
-// optimizer's measured evaluation, which subsume it. With naive = true
-// every node with a non-trivial dominated set scores 1 (the naive-fission
-// ablation).
-func heatScores(g, domGraph *graph.Graph, dt *graph.DomTree, hot graph.Set, naive bool) map[graph.NodeID]float64 {
-	order := dt.Nodes() // reverse postorder: parents before children
-	sub := make(map[graph.NodeID]int64, len(order))
-	for i := len(order) - 1; i >= 0; i-- {
-		v := order[i]
-		var s int64
-		if hot.Has(v) {
-			s = sched.OutDeviceBytes(g.Node(v))
-		}
-		for _, c := range dt.Children(v) {
-			s += sub[c]
-		}
-		sub[v] = s
-	}
-	scores := make(map[graph.NodeID]float64, len(order))
-	for _, v := range order {
-		hasChild := len(dt.Children(v)) > 0
-		if !hasChild {
-			scores[v] = 0
-			continue
-		}
-		if naive {
-			scores[v] = 1
-			continue
-		}
-		own := int64(0)
-		if hot.Has(v) {
-			own = sched.OutDeviceBytes(g.Node(v))
-		}
-		scores[v] = 0.5 * float64(sub[v]-own)
-	}
-	return scores
 }
 
 // String renders the tree for debugging.

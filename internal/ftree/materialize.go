@@ -41,7 +41,7 @@ func (t *Tree) Materialize(g *graph.Graph) (*graph.Graph, error) {
 			return nil, err
 		}
 		d := dgraph.Build(cur)
-		comp := componentWith(d, probe)
+		comp := d.ComponentOf(probe)
 		if comp == nil {
 			return nil, fmt.Errorf("ftree: materialize: dimension of %v vanished", probe)
 		}
@@ -122,13 +122,4 @@ func expandSet(cur *graph.Graph, n *Node, repl map[graph.NodeID][]graph.NodeID, 
 		s = graph.Union(s, graph.NewSet(added...))
 	}
 	return s, probe, nil
-}
-
-func componentWith(d *dgraph.DGraph, probe dgraph.DimNode) dgraph.Component {
-	for _, c := range d.Components() {
-		if c.Has(probe) {
-			return c
-		}
-	}
-	return nil
 }

@@ -12,166 +12,60 @@ type DomTree struct {
 	Parent map[NodeID]NodeID
 
 	children map[NodeID][]NodeID
-	order    []NodeID // reverse postorder, for deterministic iteration
+	order    []NodeID // topological order, for deterministic iteration
 }
 
-// Internal index sentinels for the iterative solver.
-const (
-	domVirtual   int32 = -2 // the virtual root
-	domUndefined int32 = -3
-)
-
-// Dominators computes the dominator tree of g using the iterative
-// Cooper-Harvey-Kennedy algorithm over reverse postorder.
+// Dominators computes the dominator tree of g with Idoms over its
+// topological order.
 func Dominators(g *Graph) *DomTree {
-	topo := g.Topo() // a reverse postorder of the DAG from the virtual root
+	topo := g.Topo()
 	idx := make([]int32, len(g.nodes))
 	for i, v := range topo {
 		idx[v] = int32(i)
+	}
+	off := make([]int32, len(topo)+1)
+	for i, v := range topo {
+		off[i+1] = off[i] + int32(len(g.nodes[v].Ins))
+	}
+	pred := make([]int32, off[len(topo)])
+	for i, v := range topo {
+		for j, p := range g.nodes[v].Ins {
+			pred[int(off[i])+j] = idx[p]
+		}
 	}
 	idom := make([]int32, len(topo))
-	for i := range idom {
-		idom[i] = domUndefined
-	}
-	g.solveIdom(topo, idx, idom, nil)
+	Idoms(off, pred, idom)
 	return buildDomTree(topo, idom)
 }
 
-// DominatorsFrom computes the dominator tree of g by delta from prev, the
-// tree of prevG. A node whose entire ancestor cone is unchanged — it
-// exists in prevG with element-wise equal Ins and every producer is itself
-// clean — keeps its previous immediate dominator exactly: dominance of v
-// depends only on the paths from the entries to v, and an unchanged cone
-// means unchanged paths. Only dirty nodes re-enter the fix-point
-// iteration, with the clean idoms as exact boundary values. Falls back to
-// a full computation when prev is nil or more than half the nodes are
-// dirty (the warm start would not pay for its bookkeeping).
-func DominatorsFrom(prev *DomTree, prevG, g *Graph) *DomTree {
-	if prev == nil || prevG == nil {
-		return Dominators(g)
-	}
-	topo := g.Topo()
-	n := len(topo)
-	idx := make([]int32, len(g.nodes))
-	for i, v := range topo {
-		idx[v] = int32(i)
-	}
-	clean := make([]bool, len(g.nodes))
-	dirty := make([]bool, n)
-	dirtyCnt := 0
-	for i, v := range topo {
-		node := g.nodes[v]
-		ok := prevG.Has(v) && idsEqual(prevG.nodes[v].Ins, node.Ins)
-		if ok {
-			for _, in := range node.Ins {
-				if !clean[in] {
-					ok = false
-					break
-				}
-			}
-		}
-		if ok {
-			clean[v] = true
-		} else {
-			dirty[i] = true
-			dirtyCnt++
-		}
-	}
-	if 2*dirtyCnt > n {
-		idom := make([]int32, n)
-		for i := range idom {
-			idom[i] = domUndefined
-		}
-		g.solveIdom(topo, idx, idom, nil)
-		return buildDomTree(topo, idom)
-	}
-	idom := make([]int32, n)
-	for i, v := range topo {
-		if dirty[i] {
-			idom[i] = domUndefined
+// Idoms is the Cooper-Harvey-Kennedy dominator solver on dense indices.
+// The n = len(idom) vertices of a DAG are numbered in a topological
+// order, and vertex i's predecessors are pred[off[i]:off[i+1]], each
+// below i (duplicates are harmless: the meet is idempotent). Idoms writes
+// idom[i], the immediate dominator of i, or -1 when only the virtual root
+// above every entry dominates i. A dominator precedes what it dominates,
+// so the intersection climbs toward smaller indices, and one pass in
+// topological order is exact: every predecessor's dominator is final
+// before it is read.
+func Idoms(off, pred, idom []int32) {
+	for i := range idom {
+		ps := pred[off[i]:off[i+1]]
+		if len(ps) == 0 {
+			idom[i] = -1
 			continue
 		}
-		p, ok := prev.Parent[v]
-		switch {
-		case !ok:
-			// Defensive: clean implies membership in prev's topo, but a
-			// malformed prev must degrade to recomputation, not corruption.
-			dirty[i] = true
-			idom[i] = domUndefined
-		case p == Invalid:
-			idom[i] = domVirtual
-		case !g.Has(p) || idx[p] >= int32(i):
-			dirty[i] = true
-			idom[i] = domUndefined
-		default:
-			idom[i] = idx[p]
-		}
-	}
-	g.solveIdom(topo, idx, idom, dirty)
-	return buildDomTree(topo, idom)
-}
-
-// solveIdom runs the CHK convergence loop in place. topo is a reverse
-// postorder, idx maps NodeID to its topo position, and idom holds the
-// seeded solution (domUndefined where unknown). When dirty is non-nil only
-// those positions are re-examined — their seeds must be domUndefined and
-// every other position must already hold its exact final value; the
-// monotone iteration then converges to the same fixed point as a full
-// solve. Predecessors come straight from Ins (duplicates are harmless: the
-// intersection meet is idempotent), keeping the inner loop allocation-free.
-func (g *Graph) solveIdom(topo []NodeID, idx, idom []int32, dirty []bool) {
-	intersect := func(a, b int32) int32 {
-		for a != b {
-			for a > b {
-				if idom[a] == domVirtual {
-					return domVirtual
+		d := ps[0]
+		for _, b := range ps[1:] {
+			for d != b {
+				for d > b {
+					d = idom[d]
 				}
-				a = idom[a]
-			}
-			for b > a {
-				if idom[b] == domVirtual {
-					return domVirtual
+				for b > d {
+					b = idom[b]
 				}
-				b = idom[b]
-			}
-			if a == domVirtual || b == domVirtual {
-				return domVirtual
 			}
 		}
-		return a
-	}
-	changed := true
-	for changed {
-		changed = false
-		for i, v := range topo {
-			if dirty != nil && !dirty[i] {
-				continue
-			}
-			ins := g.nodes[v].Ins
-			newIdom := domUndefined
-			if len(ins) == 0 {
-				newIdom = domVirtual
-			} else {
-				for _, p := range ins {
-					pi := idx[p]
-					if idom[pi] == domUndefined {
-						continue
-					}
-					if newIdom == domUndefined {
-						newIdom = pi
-					} else {
-						newIdom = intersect(newIdom, pi)
-					}
-				}
-				if newIdom == domUndefined {
-					newIdom = domVirtual
-				}
-			}
-			if idom[i] != newIdom {
-				idom[i] = newIdom
-				changed = true
-			}
-		}
+		idom[i] = d
 	}
 }
 
@@ -184,7 +78,7 @@ func buildDomTree(topo []NodeID, idom []int32) *DomTree {
 		order:    topo,
 	}
 	for i, v := range topo {
-		if idom[i] == domVirtual {
+		if idom[i] < 0 {
 			t.Parent[v] = Invalid
 			t.children[Invalid] = append(t.children[Invalid], v)
 		} else {
@@ -225,5 +119,6 @@ func (t *DomTree) subtrees(roots []NodeID) Set {
 	return out
 }
 
-// Nodes returns the tree's nodes in reverse postorder of the graph.
+// Nodes returns the tree's nodes in a topological order of the graph:
+// every node after its dominators.
 func (t *DomTree) Nodes() []NodeID { return t.order }

@@ -9,9 +9,8 @@ import (
 )
 
 // The incremental-maintenance oracle: every delta-maintained structure —
-// WL label splicing (WLHashFrom), reachability rebasing (Rebase), and
-// dominator warm-starting (DominatorsFrom) — must agree exactly with its
-// from-scratch counterpart after arbitrary mutation sequences. The
+// WL label splicing (WLHashFrom) and reachability rebasing (Rebase) — must
+// agree exactly with its from-scratch counterpart after arbitrary mutation sequences. The
 // mutations below deliberately include ones no search rewrite produces
 // (leaf removal, input rewiring across the whole graph) because the
 // incremental paths claim self-verification: a wrong or stale "previous"
@@ -119,21 +118,66 @@ func checkReachEqual(t *testing.T, tag string, g *Graph, got, want *ReachIndex) 
 	}
 }
 
-// checkDomEqual compares two dominator trees by their Parent maps.
-func checkDomEqual(t *testing.T, tag string, got, want *DomTree) {
-	t.Helper()
-	if len(got.Parent) != len(want.Parent) {
-		t.Fatalf("%s: dominator tree size %d != %d", tag, len(got.Parent), len(want.Parent))
-	}
-	for v, p := range want.Parent {
-		if gp, ok := got.Parent[v]; !ok || gp != p {
-			t.Fatalf("%s: idom(%d): incremental %d (present=%v) != full %d", tag, v, gp, ok, p)
+// TestDominatorsMatchBruteForce checks the dense solver against the
+// definition on random DAGs and their mutations: u strictly dominates v
+// when no path from an entry reaches v once u is removed, and idom(v) is
+// the strict dominator latest in topological order (they form a chain).
+func TestDominatorsMatchBruteForce(t *testing.T) {
+	for seq := 0; seq < 30; seq++ {
+		r := rand.New(rand.NewSource(int64(2000 + seq)))
+		g := oracleDAG(r, 4+r.Intn(30))
+		for step := 0; step < 4; step++ {
+			dt := Dominators(g)
+			order := g.Topo()
+			pos := make(map[NodeID]int, len(order))
+			for i, v := range order {
+				pos[v] = i
+			}
+			want := make(map[NodeID]NodeID, len(order))
+			for _, v := range order {
+				want[v] = Invalid
+			}
+			for _, u := range order {
+				// reach: every node some entry reaches while u is removed.
+				reach := make(map[NodeID]bool)
+				var stack []NodeID
+				for _, e := range g.Inputs() {
+					if e != u {
+						reach[e] = true
+						stack = append(stack, e)
+					}
+				}
+				for len(stack) > 0 {
+					x := stack[len(stack)-1]
+					stack = stack[:len(stack)-1]
+					for _, y := range g.Suc(x) {
+						if y != u && !reach[y] {
+							reach[y] = true
+							stack = append(stack, y)
+						}
+					}
+				}
+				for _, v := range order {
+					if v != u && !reach[v] && (want[v] == Invalid || pos[u] > pos[want[v]]) {
+						want[v] = u
+					}
+				}
+			}
+			if len(dt.Parent) != len(want) {
+				t.Fatalf("seq %d step %d: dominator tree size %d != %d", seq, step, len(dt.Parent), len(want))
+			}
+			for v, p := range want {
+				if got, ok := dt.Parent[v]; !ok || got != p {
+					t.Fatalf("seq %d step %d: idom(%d) = %d (present=%v), want %d", seq, step, v, got, ok, p)
+				}
+			}
+			mutate(r, g)
 		}
 	}
 }
 
 // TestIncrementalOracle drives randomized mutation sequences and asserts,
-// at every step, that the three incremental paths match their full
+// at every step, that the two incremental paths match their full
 // recomputations bit-for-bit.
 func TestIncrementalOracle(t *testing.T) {
 	seqs := 60
@@ -146,7 +190,6 @@ func TestIncrementalOracle(t *testing.T) {
 		prevWL := g.WLSnapshot(nil)
 		var staleWL *WLLabels // a grandparent snapshot, deliberately stale
 		prevIdx := NewReachIndex(g)
-		prevDom := Dominators(g)
 		for step := 0; step < 6; step++ {
 			child := g.Clone()
 			if !mutate(r, child) {
@@ -181,13 +224,8 @@ func TestIncrementalOracle(t *testing.T) {
 				prevIdx = fresh
 			}
 
-			// Dominators: warm-started tree == full tree.
-			fullDom := Dominators(child)
-			checkDomEqual(t, tag, DominatorsFrom(prevDom, g, child), fullDom)
-
 			staleWL = prevWL
 			prevWL = snap
-			prevDom = fullDom
 			g = child
 		}
 	}

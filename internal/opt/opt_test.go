@@ -1,8 +1,6 @@
 package opt
 
 import (
-	"context"
-	"path/filepath"
 	"slices"
 	"testing"
 	"time"
@@ -259,34 +257,4 @@ func TestRegionOpInterfaceCompliance(t *testing.T) {
 		t.Error("region out shape should be opaque scalar")
 	}
 	_ = ops.KindStore // keep ops import for the compile-time assertions
-}
-
-// TestResultReleasesDominatorCache checks that a finished search, fresh
-// or resumed, keeps no F-Tree dominator cache on its best state, and that
-// dropping the cache changes no plan: a second search on the same input
-// finds the same one.
-func TestResultReleasesDominatorCache(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "search.ckpt")
-	first, err := Optimize(fatMLP(), model(), checkpointOptions(1, 12, path))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first.Best.FT.HasCache() {
-		t.Error("search result still holds its dominator cache")
-	}
-	second, err := Optimize(fatMLP(), model(), deterministicOptions(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a, b := fingerprint(first), fingerprint(second); a.bestHash != b.bestHash ||
-		a.peakMem != b.peakMem || a.latBits != b.latBits {
-		t.Errorf("second search found another plan: %+v vs %+v", b, a)
-	}
-	resumed, err := Resume(context.Background(), path, model(), func(o *Options) { o.MaxIterations = 14 })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resumed.Best.FT.HasCache() {
-		t.Error("resumed search result still holds its dominator cache")
-	}
 }

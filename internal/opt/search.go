@@ -466,13 +466,6 @@ func (l *searchLoop) elapsed() time.Duration { return l.prior + time.Since(l.sta
 func (l *searchLoop) run(ctx context.Context) {
 	o, res, pool := l.o, l.res, l.pool
 	ev := pool.primary()
-	// Nothing reads the best state's dominator cache once the search
-	// returns, and it is most of what a kept Result holds on to.
-	defer func() {
-		if res.Best != nil {
-			res.Best.FT.ReleaseCache()
-		}
-	}()
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -824,12 +817,9 @@ func regionAnchors(s *State, n *ftree.Node) []graph.NodeID {
 }
 
 // rebuildTree re-analyzes the F-Tree after a graph rewrite (Algorithm 3
-// line 13-14), preserving enabled regions by set identity. The rebuild is
-// warm-started from the parent tree's cached dominator computations: one
-// rewrite leaves most of the graph's ancestor cones untouched, so most
-// immediate dominators carry over verbatim (see graph.DominatorsFrom).
+// line 13-14), preserving enabled regions by set identity.
 func rebuildTree(s *State, o ftree.Options) *ftree.Tree {
-	nt := ftree.BuildFrom(s.G, s.Hot, o, s.FT)
+	nt := ftree.Build(s.G, s.Hot, o)
 	enabled := s.FT.EnabledNodes()
 	matched := make(map[string]int, len(enabled))
 	for _, en := range enabled {

@@ -60,7 +60,8 @@ func (s *State) Summary() string {
 // Workers, not of elapsed time. The phases are disjoint: rule application
 // (Trans), region collapse, WL hashing, scheduling, simulation (candidate
 // pricing, plus the hot-spot set of each popped state), and F-Tree
-// construction and re-analysis (FTreeTime, on the search goroutine).
+// construction and re-analysis (FTreeTime: the search goroutine's wall
+// time in them, while the evaluation workers are idle).
 type Stats struct {
 	Trans, Sched, Simul, Hash, Filtered int
 	TransTime, SchedTime, SimulTime     time.Duration
