@@ -161,6 +161,5 @@ func BenchmarkAblation_Default(b *testing.B)         { ablationRun(b, Options{})
 func BenchmarkAblation_NaiveFission(b *testing.B)    { ablationRun(b, Options{NaiveFission: true}) }
 func BenchmarkAblation_NaiveSchedRules(b *testing.B) { ablationRun(b, Options{NaiveSchedRules: true}) }
 func BenchmarkAblation_NoFission(b *testing.B)       { ablationRun(b, Options{DisableFission: true}) }
-func BenchmarkAblation_FullReschedule(b *testing.B)  { ablationRun(b, Options{FullReschedule: true}) }
 func BenchmarkAblation_MaxLevel2(b *testing.B)       { ablationRun(b, Options{MaxLevel: 2}) }
 func BenchmarkAblation_MaxLevel8(b *testing.B)       { ablationRun(b, Options{MaxLevel: 8}) }

@@ -48,13 +48,14 @@ func jsonDecodeBody(resp *http.Response, v any) error {
 func jsonRaw(s string) json.RawMessage { return json.RawMessage(s) }
 
 type hostileConfig struct {
-	URL      string        // server base URL
-	Flood    int           // bully submissions
-	Good     int           // well-behaved submissions riding through the flood
-	GoodP95  time.Duration // SLO floor: good client's p95 HTTP response time
-	SettleTo time.Duration // how long to wait for the server to go quiet
-	Loris    bool          // run the slow-loris phase (needs server read timeouts)
+	URL   string // server base URL
+	Flood int    // bully submissions
+	Good  int    // well-behaved submissions riding through the flood
 }
+
+// hostileGoodP95 is the SLO floor for the good client's p95 HTTP response
+// time under the flood.
+const hostileGoodP95 = 2 * time.Second
 
 // hostileCorpus is the malformed/hostile request body corpus. Every entry
 // must be refused with the expected status class; "reason" pins the
@@ -107,11 +108,9 @@ func runHostile(ctx context.Context, cfg hostileConfig) bool {
 		len(hostileCorpus), cfg.Flood, cfg.Good, cfg.URL)
 
 	hostileCorpusPhase(ctx, c, &viol)
-	if cfg.Loris {
-		hostileLorisPhase(c, &viol)
-	}
+	hostileLorisPhase(c, &viol)
 	goodIDs := hostileFloodPhase(ctx, c, cfg, &viol)
-	hostileSettlePhase(ctx, c, cfg, goodIDs, &viol)
+	hostileSettlePhase(ctx, c, goodIDs, &viol)
 
 	if len(viol) > 0 {
 		fmt.Printf("hostile: %d invariant violation(s):\n", len(viol))
@@ -295,8 +294,8 @@ func hostileFloodPhase(ctx context.Context, c *soakClient, cfg hostileConfig, vi
 	if len(goodLat) > 0 {
 		sort.Slice(goodLat, func(i, j int) bool { return goodLat[i] < goodLat[j] })
 		p95 := goodLat[len(goodLat)*95/100]
-		if p95 > cfg.GoodP95 {
-			viol.addf("good client p95 response time %v exceeds floor %v under flood", p95.Round(time.Millisecond), cfg.GoodP95)
+		if p95 > hostileGoodP95 {
+			viol.addf("good client p95 response time %v exceeds floor %v under flood", p95.Round(time.Millisecond), hostileGoodP95)
 		}
 		fmt.Printf("hostile: flood done — bully %d accepted / %d throttled; good %d/%d landed, p95 %v\n",
 			bullyAccepted, bullyRejected, goodOK, cfg.Good, p95.Round(time.Millisecond))
@@ -308,10 +307,10 @@ func hostileFloodPhase(ctx context.Context, c *soakClient, cfg hostileConfig, vi
 // jobs settle, a well-formed graph submission completes with a
 // full-fidelity (non-degraded) result, and the books balance down to the
 // per-client ledgers.
-func hostileSettlePhase(ctx context.Context, c *soakClient, cfg hostileConfig, goodIDs []string, viol *soakViolations) {
+func hostileSettlePhase(ctx context.Context, c *soakClient, goodIDs []string, viol *soakViolations) {
 	fmt.Println("hostile: settle phase")
 	for _, id := range goodIDs {
-		if state := soakAwaitTerminal(ctx, c, id, cfg.SettleTo); state != "done" && state != "shed" {
+		if state := soakAwaitTerminal(ctx, c, id, settleTimeout); state != "done" && state != "shed" {
 			viol.addf("good job %s settled %q, want done (or shed under load)", id, state)
 		}
 	}
@@ -335,7 +334,7 @@ func hostileSettlePhase(ctx context.Context, c *soakClient, cfg hostileConfig, g
 		return
 	}
 	id, _ := body["id"].(string)
-	if state := soakAwaitTerminal(ctx, c, id, cfg.SettleTo); state != "done" {
+	if state := soakAwaitTerminal(ctx, c, id, settleTimeout); state != "done" {
 		viol.addf("graph job %s settled %q, want done", id, state)
 	} else if v, err := c.getJSON("/jobs/" + id); err == nil {
 		if res, ok := v["result"].(map[string]any); !ok || res["degraded"] == true {
@@ -344,7 +343,7 @@ func hostileSettlePhase(ctx context.Context, c *soakClient, cfg hostileConfig, g
 	}
 
 	// Quiesce, then audit the books.
-	quietBy := time.Now().Add(cfg.SettleTo)
+	quietBy := time.Now().Add(settleTimeout)
 	var hz map[string]any
 	for time.Now().Before(quietBy) && ctx.Err() == nil {
 		hz, err = c.getJSON("/healthz")

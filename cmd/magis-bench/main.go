@@ -18,10 +18,6 @@
 // (-fault-seed), and — when infeasible — repaired through the adaptive
 // re-optimization ladder with a -headroom budget margin.
 //
-// The cache target benchmarks the persistent plan cache life cycle on the
-// same miniature suite: cold search, verification-gated admission, exact
-// hit, and a warm-started search seeded from the cached plan.
-//
 // The verify target numerically verifies a miniature version of each
 // evaluation workload: its graph is optimized, executed against the
 // memory plan's concrete arena offsets, and cross-checked against the
@@ -52,7 +48,6 @@ import (
 	"magis/internal/cost"
 	"magis/internal/expr"
 	"magis/internal/faults"
-	"magis/internal/graph"
 	"magis/internal/memplan"
 	"magis/internal/models"
 	"magis/internal/opt"
@@ -70,29 +65,19 @@ func main() {
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this path")
 		memprofile = flag.String("memprofile", "", "write an allocation profile taken at exit to this path")
 
-		strictHash = flag.Bool("strict-hash", false, "disable incremental WL hashing in every search (escape hatch; the two paths are bit-identical)")
-		memBudg    = flag.String("mem-budget", "", "soft live-memory budget per search (e.g. 512MiB); over budget a search sheds state and settles best-so-far instead of OOMing (empty = off)")
+		memBudg = flag.String("mem-budget", "", "soft live-memory budget per search (e.g. 512MiB); over budget a search sheds state and settles best-so-far instead of OOMing (empty = off)")
 
 		verifySeed = flag.Uint64("verify-seed", 1, "seed for the verify target's numeric inputs")
-		oracleSeqs = flag.Int("oracle-seqs", 100, "randomized rewrite sequences the oracle target compares")
-		oracleSeed = flag.Int64("oracle-seed", 42, "seed for the oracle target's rewrite sequences")
 		mutate     = flag.Bool("mutate", false, "verify target: corrupt one memory-plan offset per workload first; the arena checker must then trap it and the run exits non-zero")
 
-		soakURL   = flag.String("soak-url", "http://127.0.0.1:8080", "soak target: base URL of the magis-serve instance to drive")
-		soakJobs  = flag.Int("soak-jobs", 60, "soak target: traffic submissions to attempt")
-		soakSeed  = flag.Int64("soak-seed", 1, "soak target: seed for the traffic mix")
-		soakPois  = flag.String("soak-poison", "", "soak target: poisoned model name (must match the server's -chaos-poison-model; empty skips the breaker phase)")
-		soakModel = flag.String("soak-model", "mlp", "soak target: healthy model driven by the traffic mix")
-		soakWait  = flag.Duration("soak-settle", 2*time.Minute, "soak target: how long to wait for jobs to settle")
-		soakP99   = flag.Duration("soak-hit-p99", 2*time.Second, "soak target: SLO floor for cache-hit p99 latency")
-		soakDegr  = flag.Float64("soak-max-degraded", 0.5, "soak target: SLO floor for the degraded fraction of completed jobs")
+		soakURL  = flag.String("soak-url", "http://127.0.0.1:8080", "soak target: base URL of the magis-serve instance to drive")
+		soakJobs = flag.Int("soak-jobs", 60, "soak target: traffic submissions to attempt")
+		soakSeed = flag.Int64("soak-seed", 1, "soak target: seed for the traffic mix")
+		soakPois = flag.String("soak-poison", "", "soak target: poisoned model name (must match the server's -chaos-poison-model; empty skips the breaker phase)")
 
-		hostileURL    = flag.String("hostile-url", "http://127.0.0.1:8080", "hostile target: base URL of the magis-serve instance to attack")
-		hostileFlood  = flag.Int("hostile-flood", 200, "hostile target: bully-client flood submissions")
-		hostileGood   = flag.Int("hostile-good", 10, "hostile target: well-behaved submissions riding through the flood")
-		hostileP95    = flag.Duration("hostile-good-p95", 2*time.Second, "hostile target: SLO floor for the good client's p95 response time under flood")
-		hostileSettle = flag.Duration("hostile-settle", 2*time.Minute, "hostile target: how long to wait for jobs to settle")
-		hostileLoris  = flag.Bool("hostile-loris", true, "hostile target: run the slow-loris phase (server must enforce read timeouts)")
+		hostileURL   = flag.String("hostile-url", "http://127.0.0.1:8080", "hostile target: base URL of the magis-serve instance to attack")
+		hostileFlood = flag.Int("hostile-flood", 200, "hostile target: bully-client flood submissions")
+		hostileGood  = flag.Int("hostile-good", 10, "hostile target: well-behaved submissions riding through the flood")
 
 		auditFlag = flag.Bool("audit", false, "run the execution-feasibility audit target after the others")
 		faultsN   = flag.Int("faults", 0, "fault scenarios per workload in the audit target (0 = audit only)")
@@ -115,8 +100,7 @@ func main() {
 	known := map[string]bool{
 		"table2": true, "fig9": true, "fig10": true, "fig11": true,
 		"fig12": true, "fig13": true, "fig14": true, "fig15": true, "fig16": true,
-		"audit": true, "verify": true, "cache": true, "oracle": true, "soak": true,
-		"hostile": true,
+		"audit": true, "verify": true, "soak": true, "hostile": true,
 	}
 	targets := flag.Args()
 	if len(targets) == 0 && !*auditFlag {
@@ -130,7 +114,7 @@ func main() {
 	}
 	for _, t := range targets {
 		if !known[t] {
-			fmt.Fprintf(os.Stderr, "unknown target %q (want table2, fig9..fig16, audit, verify, cache, oracle, soak, hostile, or all)\n", t)
+			fmt.Fprintf(os.Stderr, "unknown target %q (want table2, fig9..fig16, audit, verify, soak, hostile, or all)\n", t)
 			os.Exit(2)
 		}
 	}
@@ -179,7 +163,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	cfg := expr.Config{Scale: *scale, Budget: *budget, Ctx: ctx, Workers: *workers,
-		StrictHash: *strictHash, MemBudget: memBudget}
+		MemBudget: memBudget}
 
 	verifyFailed := false
 	for _, t := range targets {
@@ -213,34 +197,12 @@ func main() {
 			if !runVerify(ctx, cfg, *verifySeed, *mutate) {
 				verifyFailed = true
 			}
-		case "cache":
-			runCacheBench(ctx, cfg)
-		case "oracle":
-			if !runOracle(*oracleSeqs, *oracleSeed) {
-				verifyFailed = true
-			}
 		case "soak":
-			if !runSoak(ctx, soakConfig{
-				URL:      *soakURL,
-				Jobs:     *soakJobs,
-				Seed:     *soakSeed,
-				Poison:   *soakPois,
-				Healthy:  *soakModel,
-				SettleTo: *soakWait,
-				HitP99:   *soakP99,
-				MaxDegr:  *soakDegr,
-			}) {
+			if !runSoak(ctx, soakConfig{URL: *soakURL, Jobs: *soakJobs, Seed: *soakSeed, Poison: *soakPois}) {
 				verifyFailed = true
 			}
 		case "hostile":
-			if !runHostile(ctx, hostileConfig{
-				URL:      *hostileURL,
-				Flood:    *hostileFlood,
-				Good:     *hostileGood,
-				GoodP95:  *hostileP95,
-				SettleTo: *hostileSettle,
-				Loris:    *hostileLoris,
-			}) {
+			if !runHostile(ctx, hostileConfig{URL: *hostileURL, Flood: *hostileFlood, Good: *hostileGood}) {
 				verifyFailed = true
 			}
 		}
@@ -254,25 +216,6 @@ func main() {
 	if verifyFailed {
 		os.Exit(1)
 	}
-}
-
-// runOracle runs the differential evaluation oracle: incremental and
-// from-scratch evaluation side by side on randomized rewrite sequences,
-// asserting identical hashes, valid schedules, and consistent peaks (see
-// opt.RunOracle). A non-empty mismatch list makes the process exit 1.
-func runOracle(sequences int, seed int64) bool {
-	rep := opt.RunOracle(opt.OracleConfig{
-		Model: cost.NewModel(cost.RTX3090()),
-		Graphs: []*graph.Graph{
-			models.MLP(512, 64, 128, 10, 3).G,
-			models.UNet(4, 64).G,
-			models.TransformerLM("oracle-lm", 1, 8, 32, 2, 2, 128, tensor.TF32, false).G,
-		},
-		Sequences: sequences,
-		Seed:      seed,
-	})
-	fmt.Print(rep)
-	return rep.OK()
 }
 
 // verifySuite is the numeric-verification face of the seven evaluation

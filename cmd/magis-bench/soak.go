@@ -30,15 +30,25 @@ import (
 )
 
 type soakConfig struct {
-	URL      string        // server base URL
-	Jobs     int           // traffic volume (submission attempts)
-	Seed     int64         // traffic mix seed
-	Poison   string        // poisoned model name ("" = skip the breaker phase)
-	Healthy  string        // healthy model for the breaker-isolation check
-	SettleTo time.Duration // how long to wait for all jobs to settle
-	HitP99   time.Duration // SLO floor: cache-hit p99 latency
-	MaxDegr  float64       // SLO floor: degraded fraction of completed jobs
+	URL    string // server base URL
+	Jobs   int    // traffic volume (submission attempts)
+	Seed   int64  // traffic mix seed
+	Poison string // poisoned model name ("" = skip the breaker phase)
 }
+
+const (
+	// soakHealthy is the healthy model the traffic mix drives and the
+	// breaker-isolation check submits.
+	soakHealthy = "mlp"
+	// settleTimeout bounds how long the soak and hostile targets wait for
+	// jobs to settle and the server to go quiet.
+	settleTimeout = 2 * time.Minute
+	// soakHitP99 is the SLO floor for cache-hit p99 latency.
+	soakHitP99 = 2 * time.Second
+	// soakMaxDegraded is the SLO floor for the degraded fraction of
+	// completed jobs.
+	soakMaxDegraded = 0.5
+)
 
 type soakClient struct {
 	base string
@@ -107,7 +117,7 @@ func runSoak(ctx context.Context, cfg soakConfig) bool {
 	ids := soakTraffic(ctx, c, cfg, &viol)
 
 	// Phase 3 — settle and check invariants.
-	soakSettle(ctx, c, cfg, ids, &viol)
+	soakSettle(ctx, c, ids, &viol)
 
 	if len(viol) > 0 {
 		fmt.Printf("soak: %d invariant violation(s):\n", len(viol))
@@ -122,7 +132,7 @@ func runSoak(ctx context.Context, cfg soakConfig) bool {
 
 func soakBreakerPhase(ctx context.Context, c *soakClient, cfg soakConfig, viol *soakViolations) {
 	fmt.Printf("soak: breaker phase — poisoning %s until the breaker opens\n", cfg.Poison)
-	deadline := time.Now().Add(cfg.SettleTo)
+	deadline := time.Now().Add(settleTimeout)
 	tripped := false
 	for time.Now().Before(deadline) && ctx.Err() == nil {
 		code, body, _, err := c.postOptimize(map[string]any{"model": cfg.Poison, "budget": "1s"})
@@ -153,7 +163,7 @@ func soakBreakerPhase(ctx context.Context, c *soakClient, cfg soakConfig, viol *
 	}
 	// Healthy traffic must flow while the poison workload is locked out.
 	code, body, _, err := c.postOptimize(map[string]any{
-		"model": cfg.Healthy, "scale": 0.01, "budget": "5s", "iterations": 10, "workers": 1,
+		"model": soakHealthy, "scale": 0.01, "budget": "5s", "iterations": 10, "workers": 1,
 	})
 	if err != nil || code != http.StatusAccepted {
 		viol.addf("healthy submit during open breaker: code %d err %v (%v)", code, err, body)
@@ -174,7 +184,7 @@ func soakTraffic(ctx context.Context, c *soakClient, cfg soakConfig, viol *soakV
 	var ids []string
 	rejected := 0
 	for i := 0; i < cfg.Jobs && ctx.Err() == nil; i++ {
-		req := map[string]any{"model": cfg.Healthy, "workers": 1}
+		req := map[string]any{"model": soakHealthy, "workers": 1}
 		switch rng.Intn(10) {
 		case 0, 1, 2, 3: // hot: identical cacheable request -> hits after the first
 			req["scale"] = 0.01
@@ -246,11 +256,11 @@ func soakAwaitTerminal(ctx context.Context, c *soakClient, id string, timeout ti
 	return ""
 }
 
-func soakSettle(ctx context.Context, c *soakClient, cfg soakConfig, ids []string, viol *soakViolations) {
+func soakSettle(ctx context.Context, c *soakClient, ids []string, viol *soakViolations) {
 	// Every job terminal: the no-stuck-job invariant.
 	terminal := map[string]int{}
 	for _, id := range ids {
-		state := soakAwaitTerminal(ctx, c, id, cfg.SettleTo)
+		state := soakAwaitTerminal(ctx, c, id, settleTimeout)
 		if state == "" {
 			viol.addf("job %s never reached a terminal state", id)
 			continue
@@ -281,7 +291,7 @@ func soakSettle(ctx context.Context, c *soakClient, cfg soakConfig, ids []string
 	fmt.Printf("soak: terminal states: %v\n", terminal)
 
 	// Wait for the server to go quiet, then audit the books.
-	quietBy := time.Now().Add(cfg.SettleTo)
+	quietBy := time.Now().Add(settleTimeout)
 	var hz map[string]any
 	for time.Now().Before(quietBy) && ctx.Err() == nil {
 		var err error
@@ -314,14 +324,14 @@ func soakSettle(ctx context.Context, c *soakClient, cfg soakConfig, ids []string
 	// SLO floors.
 	if hl, ok := m["cache_hit_latency_sec"].(map[string]any); ok {
 		if cnt, _ := hl["count"].(float64); cnt > 0 {
-			if p99, _ := hl["p99"].(float64); p99 > cfg.HitP99.Seconds() {
-				viol.addf("SLO: cache-hit p99 %.3fs exceeds floor %v", p99, cfg.HitP99)
+			if p99, _ := hl["p99"].(float64); p99 > soakHitP99.Seconds() {
+				viol.addf("SLO: cache-hit p99 %.3fs exceeds floor %v", p99, soakHitP99)
 			}
 		}
 	}
 	if done := c.metric(m, "completed"); done > 0 {
-		if rate := c.metric(m, "degraded") / done; rate > cfg.MaxDegr {
-			viol.addf("SLO: degraded rate %.2f exceeds floor %.2f", rate, cfg.MaxDegr)
+		if rate := c.metric(m, "degraded") / done; rate > soakMaxDegraded {
+			viol.addf("SLO: degraded rate %.2f exceeds floor %.2f", rate, soakMaxDegraded)
 		}
 	}
 	fmt.Printf("soak: admitted=%v completed=%v failed=%v cancelled=%v shed=%v+%v degraded=%v breaker_trips=%v\n",

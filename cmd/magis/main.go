@@ -69,7 +69,6 @@ func main() {
 		level   = flag.Int("L", 4, "F-Tree max level")
 		workers = flag.Int("workers", 0, "parallel candidate evaluations (0 = GOMAXPROCS, 1 = sequential)")
 		iters   = flag.Int("iters", 0, "cap search expansions (0 = budget-bound only; fixed work => deterministic result)")
-		strict  = flag.Bool("strict-hash", false, "disable incremental WL hashing (escape hatch; the two paths are bit-identical)")
 		emit    = flag.String("emit", "", "write a PyTorch script for the optimized graph to this path")
 		load    = flag.String("load", "", "optimize a graph document (graphio format) through the hardened ingest pipeline instead of -model")
 		saveG   = flag.String("save-graph", "", "write the selected workload's graph document to this path and exit (no search)")
@@ -186,7 +185,7 @@ func main() {
 		fmt.Printf("baseline: %s\n", base.Summary())
 
 		o = opt.Options{TimeBudget: *budget, MaxLevel: *level, Workers: *workers,
-			MaxIterations: *iters, StrictHash: *strict, MemBudget: memBudget}
+			MaxIterations: *iters, MemBudget: memBudget}
 		switch *mode {
 		case "mem":
 			o.Mode = opt.MemoryUnderLatency

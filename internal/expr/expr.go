@@ -34,10 +34,6 @@ type Config struct {
 	// (opt.Options.Workers; 0 = GOMAXPROCS). It changes only how fast the
 	// budget is spent, not which states a given amount of search reaches.
 	Workers int
-	// StrictHash disables incremental WL hashing in every search
-	// (opt.Options.StrictHash): the escape hatch for ruling the
-	// incremental path out while debugging a suspect run.
-	StrictHash bool
 	// MemBudget is a soft live-memory budget for each search
 	// (opt.Options.MemBudget; 0 = off): a long experiment sweep on a
 	// constrained host sheds search state instead of getting OOM-killed,
@@ -79,7 +75,6 @@ func magisMinMem(cfg Config, w *models.Workload, latLimit float64) (*opt.Result,
 		LatencyLimit: latLimit,
 		TimeBudget:   cfg.Budget,
 		Workers:      cfg.Workers,
-		StrictHash:   cfg.StrictHash,
 		MemBudget:    cfg.MemBudget,
 	})
 }
@@ -91,7 +86,6 @@ func magisMinLat(cfg Config, w *models.Workload, memLimit int64) (*opt.Result, e
 		MemLimit:   memLimit,
 		TimeBudget: cfg.Budget,
 		Workers:    cfg.Workers,
-		StrictHash: cfg.StrictHash,
 		MemBudget:  cfg.MemBudget,
 	})
 }

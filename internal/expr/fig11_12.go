@@ -36,7 +36,7 @@ func Fig11(cfg Config, ws []*models.Workload, ratios []float64) []Fig11Curve {
 		}
 		m := cfg.Model()
 		base := opt.Baseline(w.G, m)
-		pts, err := opt.SweepCtx(cfg.Ctx, w.G, m, ratios, cfg.Budget, opt.Options{Workers: cfg.Workers, StrictHash: cfg.StrictHash})
+		pts, err := opt.SweepCtx(cfg.Ctx, w.G, m, ratios, cfg.Budget, opt.Options{Workers: cfg.Workers})
 		if err == nil {
 			curves = append(curves, Fig11Curve{w.Name, "MAGIS", pts})
 		}

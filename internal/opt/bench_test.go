@@ -12,7 +12,7 @@ import (
 func benchState(tb testing.TB) (*State, *Result) {
 	tb.Helper()
 	res := &Result{}
-	ev := newEvaluator(model(), false, false, &res.Stats)
+	ev := newEvaluator(model(), &res.Stats)
 	st := &State{G: fatMLP()}
 	if err := ev.evaluate(st, nil, nil); err != nil {
 		tb.Fatal(err)

@@ -3,12 +3,9 @@ package opt
 import (
 	"container/heap"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"math"
-	"os"
 	"slices"
 	"sort"
 	"time"
@@ -52,7 +49,8 @@ import (
 // migrated across format changes.
 const CheckpointVersion = 1
 
-// checkpointMagic distinguishes checkpoint files from other JSON.
+// checkpointMagic distinguishes checkpoint files from other sealed files
+// (fsatomic.WriteSealed's envelope: magic, version, SHA-256, payload).
 const checkpointMagic = "magis-checkpoint"
 
 // Checkpoint configures crash-safe snapshots of a search. The zero value
@@ -82,7 +80,7 @@ type CheckpointStatus struct {
 	Path string
 	// Writes counts successful snapshot flushes.
 	Writes int
-	// LastBytes is the size of the last flushed snapshot.
+	// LastBytes is the payload size of the last flushed snapshot.
 	LastBytes int
 	// Err records the first encode or write failure. Checkpointing
 	// degrades to best-effort on failure; the search itself continues.
@@ -148,17 +146,12 @@ func (c *checkpointer) final(l *searchLoop, tainted bool) {
 }
 
 func (c *checkpointer) flush() {
-	env, err := sealSnapshot(c.last)
-	if err != nil {
-		c.fail(err)
-		return
-	}
-	if err := fsatomic.WriteFileFS(c.cfg.FS, c.cfg.Path, env, 0o644); err != nil {
+	if err := fsatomic.WriteSealedFS(c.cfg.FS, c.cfg.Path, checkpointMagic, CheckpointVersion, c.last, 0o644); err != nil {
 		c.fail(err)
 		return
 	}
 	c.status.Writes++
-	c.status.LastBytes = len(env)
+	c.status.LastBytes = len(c.last)
 	c.sinceWrite = 0
 	c.lastWrite = time.Now()
 }
@@ -169,44 +162,15 @@ func (c *checkpointer) fail(err error) {
 	}
 }
 
-// envelope is the checkpoint file framing: a version header plus a SHA-256
-// digest of the payload bytes, verified before any payload field is
-// trusted.
-type envelope struct {
-	Magic   string          `json:"magic"`
-	Version int             `json:"version"`
-	SHA256  string          `json:"sha256"`
-	Payload json.RawMessage `json:"payload"`
-}
-
-// sealSnapshot frames a payload with its checksum.
-func sealSnapshot(payload []byte) ([]byte, error) {
-	sum := sha256.Sum256(payload)
-	return json.Marshal(envelope{
-		Magic:   checkpointMagic,
-		Version: CheckpointVersion,
-		SHA256:  hex.EncodeToString(sum[:]),
-		Payload: payload,
-	})
-}
-
-// openSnapshot validates the envelope and returns the payload bytes.
-func openSnapshot(data []byte) ([]byte, error) {
-	var env envelope
-	if err := json.Unmarshal(data, &env); err != nil {
+// readSnapshot validates a checkpoint file's envelope and returns its
+// payload. A wrong version or checksum matches fsatomic.ErrVersion or
+// fsatomic.ErrChecksum.
+func readSnapshot(path string) ([]byte, error) {
+	payload, err := fsatomic.ReadSealed(path, checkpointMagic, CheckpointVersion)
+	if err != nil {
 		return nil, fmt.Errorf("opt: checkpoint: %w", err)
 	}
-	if env.Magic != checkpointMagic {
-		return nil, fmt.Errorf("opt: checkpoint: not a checkpoint file (magic %q)", env.Magic)
-	}
-	if env.Version != CheckpointVersion {
-		return nil, fmt.Errorf("opt: checkpoint: format version %d (this build reads version %d)", env.Version, CheckpointVersion)
-	}
-	sum := sha256.Sum256(env.Payload)
-	if got := hex.EncodeToString(sum[:]); got != env.SHA256 {
-		return nil, fmt.Errorf("opt: checkpoint: checksum mismatch (file %s, payload %s): truncated or corrupted snapshot", env.SHA256, got)
-	}
-	return env.Payload, nil
+	return payload, nil
 }
 
 // snapshot is the checkpoint payload.
@@ -245,14 +209,11 @@ type optionsRec struct {
 	TimeBudgetNs     int64    `json:"time_budget_ns"`
 	MemBudget        int64    `json:"mem_budget,omitempty"`
 	MaxIterations    int      `json:"max_iterations"`
-	DeltaBits        uint64   `json:"delta_bits"`
 	CheckInvariants  bool     `json:"check_invariants"`
 	QuarantineAfter  int      `json:"quarantine_after"`
 	Workers          int      `json:"workers"`
 	NaiveFission     bool     `json:"naive_fission,omitempty"`
 	NaiveSchedRules  bool     `json:"naive_sched_rules,omitempty"`
-	FullReschedule   bool     `json:"full_reschedule,omitempty"`
-	StrictHash       bool     `json:"strict_hash,omitempty"`
 	DisableFission   bool     `json:"disable_fission,omitempty"`
 	Rules            []string `json:"rules"`
 	CkEveryN         int      `json:"ck_every_n,omitempty"`
@@ -278,15 +239,13 @@ type ruleErrRec struct {
 	Stack string `json:"stack,omitempty"`
 }
 
-// stateRec serializes one M-State: the logical graph (ID-exact), the
-// F-Tree, and the schedule. EvalG, regions, PeakMem, and Latency are
-// recomputed deterministically on restore, and Hot when the state is
-// expanded.
+// stateRec serializes one M-State: its plan (the logical graph, ID-exact,
+// the F-Tree, and the schedule) and whether its F-Tree awaits
+// re-analysis. EvalG, regions, PeakMem, and Latency are recomputed
+// deterministically on restore, and Hot when the state is expanded.
 type stateRec struct {
-	G     *graphio.GraphRecord `json:"g"`
-	FT    []*ftNodeRec         `json:"ft,omitempty"`
-	Sched sched.Schedule       `json:"sched"`
-	Stale bool                 `json:"stale,omitempty"`
+	PlanRecord
+	Stale bool `json:"stale,omitempty"`
 }
 
 // ftNodeRec serializes one F-Tree node with its resolved transformation.
@@ -316,14 +275,11 @@ func recordOptions(o *Options) optionsRec {
 		TimeBudgetNs:     int64(o.TimeBudget),
 		MemBudget:        o.MemBudget,
 		MaxIterations:    o.MaxIterations,
-		DeltaBits:        math.Float64bits(o.Delta),
 		CheckInvariants:  o.CheckInvariants,
 		QuarantineAfter:  o.QuarantineAfter,
 		Workers:          o.Workers,
 		NaiveFission:     o.NaiveFission,
 		NaiveSchedRules:  o.NaiveSchedRules,
-		FullReschedule:   o.FullReschedule,
-		StrictHash:       o.StrictHash,
 		DisableFission:   o.DisableFission,
 		Rules:            names,
 		CkEveryN:         o.Checkpoint.EveryN,
@@ -355,14 +311,11 @@ func (r optionsRec) restore() (Options, error) {
 		TimeBudget:      time.Duration(r.TimeBudgetNs),
 		MemBudget:       r.MemBudget,
 		MaxIterations:   r.MaxIterations,
-		Delta:           math.Float64frombits(r.DeltaBits),
 		CheckInvariants: r.CheckInvariants,
 		QuarantineAfter: r.QuarantineAfter,
 		Workers:         r.Workers,
 		NaiveFission:    r.NaiveFission,
 		NaiveSchedRules: r.NaiveSchedRules,
-		FullReschedule:  r.FullReschedule,
-		StrictHash:      r.StrictHash,
 		DisableFission:  r.DisableFission,
 		Rules:           rs,
 		Checkpoint: Checkpoint{
@@ -445,16 +398,11 @@ func restoreTree(recs []*ftNodeRec) (*ftree.Tree, error) {
 }
 
 func recordState(s *State) (*stateRec, error) {
-	g, err := graphio.Record(s.G)
+	p, err := RecordPlan(s)
 	if err != nil {
 		return nil, err
 	}
-	return &stateRec{
-		G:     g,
-		FT:    recordTree(s.FT),
-		Sched: append(sched.Schedule(nil), s.Sched...),
-		Stale: s.stale,
-	}, nil
+	return &stateRec{PlanRecord: *p, Stale: s.stale}, nil
 }
 
 // restoreState rebuilds a State and recomputes its derived fields (EvalG,
@@ -562,11 +510,7 @@ func encodeSnapshot(l *searchLoop) ([]byte, error) {
 // boundaries, run-kill-resume produces the same best graph, schedule, and
 // cost as an uninterrupted run (wall-clock-derived fields aside).
 func Resume(ctx context.Context, path string, model *cost.Model, override func(*Options)) (*Result, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("opt: checkpoint: %w", err)
-	}
-	payload, err := openSnapshot(data)
+	payload, err := readSnapshot(path)
 	if err != nil {
 		return nil, err
 	}
@@ -588,15 +532,11 @@ func Resume(ctx context.Context, path string, model *cost.Model, override func(*
 		return nil, fmt.Errorf("opt: checkpoint: input graph: %w", err)
 	}
 
-	res := &Result{}
-	if err := guard("init", "baseline evaluation", func() error {
-		res.Baseline = Baseline(input, model)
-		return nil
-	}); err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrInitialEval, err)
+	l, err := newSearch(input, model, &o)
+	if err != nil {
+		return nil, err
 	}
-	pool := newEvalPool(o.Workers, model, o.FullReschedule, o.StrictHash, &res.Stats)
-	ev := pool.primary()
+	res, ev := l.res, l.pool.primary()
 	res.Stats = snap.Stats
 	for _, h := range snap.History {
 		res.History = append(res.History, HistoryPoint{
@@ -611,59 +551,40 @@ func Resume(ctx context.Context, path string, model *cost.Model, override func(*
 			Rule: e.Rule, Site: e.Site, Panic: e.Panic, Stack: e.Stack,
 		})
 	}
-	quar := newQuarantine(o.QuarantineAfter)
 	for name, n := range snap.Quarantine.Streaks {
-		quar.streak[name] = n
+		l.quar.streak[name] = n
 	}
 	for _, name := range snap.Quarantine.Banned {
-		quar.banned[name] = true
+		l.quar.banned[name] = true
 	}
 
-	q := &stateQueue{opts: &o}
-	var best *State
+	// The items are in heap order already, so pops replay identically.
 	for i, r := range snap.Queue {
 		s, err := restoreState(r, ev)
 		if err != nil {
 			return nil, err
 		}
-		q.items = append(q.items, s)
+		l.q.items = append(l.q.items, s)
 		if i == snap.BestIdx {
-			best = s
+			l.best = s
 		}
 	}
-	if best == nil {
+	if l.best == nil {
 		if snap.Best == nil {
 			return nil, fmt.Errorf("opt: checkpoint: snapshot has no best state")
 		}
-		if best, err = restoreState(snap.Best, ev); err != nil {
+		if l.best, err = restoreState(snap.Best, ev); err != nil {
 			return nil, err
 		}
 	}
-	seen := make(map[uint64]bool, len(snap.Seen))
 	for _, h := range snap.Seen {
-		seen[h] = true
-	}
-
-	l := &searchLoop{
-		o:     &o,
-		res:   res,
-		quar:  quar,
-		seen:  seen,
-		q:     q, // items are in heap order already; pops replay identically
-		best:  best,
-		start: time.Now(),
-		prior: time.Duration(snap.ElapsedNs),
-		input: input,
-		model: model,
-		pool:  pool,
-		gp:    &ev.gp,
-		ftOpts: ftree.Options{
-			MaxLevel:      o.MaxLevel,
-			MaxCandidates: o.MaxCandidates,
-			NaiveFission:  o.NaiveFission,
-		},
+		l.seen[h] = true
 	}
 	heap.Init(l.q) // no-op on the already-valid heap; guards a hand-edited file
+	// This incarnation's clock starts after the restore; earlier ones
+	// count through prior.
+	l.start = time.Now()
+	l.prior = time.Duration(snap.ElapsedNs)
 	l.run(ctx)
 	return res, nil
 }
@@ -689,11 +610,7 @@ type CheckpointInfo struct {
 // ReadCheckpointInfo validates a checkpoint file's envelope and returns
 // its headline metadata without restoring any search state.
 func ReadCheckpointInfo(path string) (*CheckpointInfo, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("opt: checkpoint: %w", err)
-	}
-	payload, err := openSnapshot(data)
+	payload, err := readSnapshot(path)
 	if err != nil {
 		return nil, err
 	}

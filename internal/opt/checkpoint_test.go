@@ -3,12 +3,15 @@ package opt
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"magis/internal/fsatomic"
 )
 
 // checkpointOptions mirrors deterministicOptions with checkpointing on:
@@ -233,8 +236,8 @@ func TestCheckpointRejectsCorruption(t *testing.T) {
 	}
 	if _, err := Resume(context.Background(), corrupted, model(), nil); err == nil {
 		t.Error("corrupted payload resumed without error")
-	} else if want := "checksum mismatch"; !strings.Contains(err.Error(), want) {
-		t.Errorf("corrupted payload error %q, want substring %q", err, want)
+	} else if !errors.Is(err, fsatomic.ErrChecksum) {
+		t.Errorf("corrupted payload error %q, want fsatomic.ErrChecksum", err)
 	}
 
 	wrongVersion := mutate("version.ckpt", func(env map[string]json.RawMessage) {
@@ -242,8 +245,8 @@ func TestCheckpointRejectsCorruption(t *testing.T) {
 	})
 	if _, err := Resume(context.Background(), wrongVersion, model(), nil); err == nil {
 		t.Error("wrong version resumed without error")
-	} else if want := "format version 999"; !strings.Contains(err.Error(), want) {
-		t.Errorf("version error %q, want substring %q", err, want)
+	} else if !errors.Is(err, fsatomic.ErrVersion) || !strings.Contains(err.Error(), "version 999") {
+		t.Errorf("version error %q, want fsatomic.ErrVersion naming version 999", err)
 	}
 
 	wrongMagic := mutate("magic.ckpt", func(env map[string]json.RawMessage) {
@@ -251,7 +254,7 @@ func TestCheckpointRejectsCorruption(t *testing.T) {
 	})
 	if _, err := Resume(context.Background(), wrongMagic, model(), nil); err == nil {
 		t.Error("wrong magic resumed without error")
-	} else if want := "not a checkpoint file"; !strings.Contains(err.Error(), want) {
+	} else if want := `magic "not-a-checkpoint"`; !strings.Contains(err.Error(), want) {
 		t.Errorf("magic error %q, want substring %q", err, want)
 	}
 
@@ -270,10 +273,6 @@ func TestCheckpointWithoutSchedFallbacksResumes(t *testing.T) {
 	if _, err := Optimize(fatMLP(), model(), checkpointOptions(1, 6, path)); err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
 	extend := func(o *Options) { o.MaxIterations = 12 }
 	want, err := Resume(context.Background(), path, model(), extend)
 	if err != nil {
@@ -283,7 +282,7 @@ func TestCheckpointWithoutSchedFallbacksResumes(t *testing.T) {
 		{"SchedFallbacks"},
 		{"SchedFallbacks", "Collapse", "CollapseTime", "FTreeTime"},
 	} {
-		payload, err := openSnapshot(data)
+		payload, err := readSnapshot(path)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -307,12 +306,8 @@ func TestCheckpointWithoutSchedFallbacksResumes(t *testing.T) {
 		if payload, err = json.Marshal(snap); err != nil {
 			t.Fatal(err)
 		}
-		old, err := sealSnapshot(payload)
-		if err != nil {
-			t.Fatal(err)
-		}
 		oldPath := filepath.Join(dir, "old.ckpt")
-		if err := os.WriteFile(oldPath, old, 0o644); err != nil {
+		if err := fsatomic.WriteSealed(oldPath, checkpointMagic, CheckpointVersion, payload, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		got, err := Resume(context.Background(), oldPath, model(), extend)

@@ -40,7 +40,7 @@ func TestBaselineMatchesTopo(t *testing.T) {
 // and both agree with the full simulations.
 func TestEvaluateDefersHotspots(t *testing.T) {
 	res := &Result{}
-	ev := newEvaluator(model(), false, false, &res.Stats)
+	ev := newEvaluator(model(), &res.Stats)
 	check := func(s *State) {
 		t.Helper()
 		if s.Hot != nil {
@@ -50,7 +50,7 @@ func TestEvaluateDefersHotspots(t *testing.T) {
 		if s.PeakMem != prof.Peak {
 			t.Errorf("PeakMem %d, Simulate peak %d", s.PeakMem, prof.Peak)
 		}
-		r := sim.Run(s.EvalG, s.Sched, sim.Config{Model: ev.model, NodeCost: regionNodeCost})
+		r := sim.Run(s.EvalG, s.Sched, sim.Config{Model: ev.model})
 		if s.Latency != r.Latency {
 			t.Errorf("Latency %v, Run latency %v", s.Latency, r.Latency)
 		}

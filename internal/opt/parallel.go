@@ -95,14 +95,14 @@ type evalPool struct {
 	shards []Stats
 }
 
-func newEvalPool(workers int, model *cost.Model, full, strict bool, main *Stats) *evalPool {
+func newEvalPool(workers int, model *cost.Model, main *Stats) *evalPool {
 	p := &evalPool{shards: make([]Stats, workers)}
 	for i := 0; i < workers; i++ {
 		st := main
 		if i > 0 {
 			st = &p.shards[i]
 		}
-		p.evs = append(p.evs, newEvaluator(model, full, strict, st))
+		p.evs = append(p.evs, newEvaluator(model, st))
 	}
 	return p
 }

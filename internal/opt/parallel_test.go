@@ -246,7 +246,7 @@ func TestSharedFTreeIsCopyOnWrite(t *testing.T) {
 	g := fatMLP()
 	m := model()
 	res := &Result{}
-	ev := newEvaluator(m, false, false, &res.Stats)
+	ev := newEvaluator(m, &res.Stats)
 	st := &State{G: g.Clone()}
 	if err := ev.evaluate(st, nil, nil); err != nil {
 		t.Fatal(err)

@@ -15,11 +15,12 @@ import (
 	"magis/internal/graph"
 	"magis/internal/ops"
 	"magis/internal/sched"
+	"magis/internal/sim"
 	"magis/internal/tensor"
 )
 
 // RegionOp is the payload of a collapsed fission region in an evaluation
-// graph. It implements graph.Op and sched.DeviceSizer.
+// graph. It implements graph.Op, sched.DeviceSizer and sim.SelfCosted.
 type RegionOp struct {
 	name      string
 	outBytes  int64
@@ -50,8 +51,11 @@ func (r *RegionOp) OutDeviceBytes() int64 { return r.outBytes }
 // region's parts execute.
 func (r *RegionOp) ExecTransientBytes() int64 { return r.transient }
 
-// Latency is the end-to-end time of all n sequential parts plus merges.
+// Latency implements sim.SelfCosted: the end-to-end time of all n
+// sequential parts plus merges.
 func (r *RegionOp) Latency() float64 { return r.lat }
+
+var _ sim.SelfCosted = (*RegionOp)(nil)
 
 // Parts returns the fission number.
 func (r *RegionOp) Parts() int { return r.n }

@@ -61,8 +61,6 @@ type Options struct {
 	MemBudget int64
 	// memUsed overrides the governor's live-memory sampler (tests only).
 	memUsed func() uint64
-	// Delta is the relaxed-push coefficient (default 1.1).
-	Delta float64
 	// CheckInvariants runs graph.Validate on every candidate that passes
 	// the duplicate filter and Schedule.Validate on every evaluated one,
 	// rejecting (and diagnosing) candidates a buggy rule corrupted. Tests
@@ -81,17 +79,9 @@ type Options struct {
 	// counts (only the time-stamped fields and the duplicated-work
 	// portions of Stats vary).
 	Workers int
-	// StrictHash disables incremental WL hashing: every candidate is hashed
-	// from scratch instead of splicing into the parent's label snapshot.
-	// The two paths are bit-identical by construction (the splice re-labels
-	// any node it cannot prove clean); this is the escape hatch for ruling
-	// the incremental path out while debugging, and the reference side of
-	// the differential oracle.
-	StrictHash bool
 	// Ablation switches (§7.2.5).
 	NaiveFission    bool
 	NaiveSchedRules bool
-	FullReschedule  bool
 	// DisableFission removes F-Trans from the search space entirely,
 	// leaving a pure scheduling-rule optimizer (the Fig. 2 swap-only
 	// comparison point).
@@ -137,9 +127,6 @@ func (o *Options) defaults() {
 	if o.MaxIterations == 0 {
 		o.MaxIterations = 10000
 	}
-	if o.Delta == 0 {
-		o.Delta = 1.1
-	}
 	if o.QuarantineAfter == 0 {
 		o.QuarantineAfter = 3
 	}
@@ -153,6 +140,10 @@ func (o *Options) defaults() {
 		o.LatencyLimit = math.Inf(1)
 	}
 }
+
+// pushDelta is δ, the relaxation Algorithm 3 applies when deciding whether
+// an evaluated candidate joins the frontier.
+const pushDelta = 1.1
 
 // better implements BetterThan (Algorithm 3 lines 1-2) for both modes,
 // comparing (constrained objective clamped at the limit, free objective)
@@ -321,22 +312,11 @@ func OptimizeCtx(ctx context.Context, g *graph.Graph, model *cost.Model, o Optio
 // an exact replay of a good plan bounds the result from below.
 func OptimizeSeeded(ctx context.Context, g *graph.Graph, model *cost.Model, o Options, seeds ...*State) (*Result, error) {
 	o.defaults()
-	res := &Result{}
-	if err := guard("init", "baseline evaluation", func() error {
-		res.Baseline = Baseline(g, model)
-		return nil
-	}); err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrInitialEval, err)
+	l, err := newSearch(g, model, &o)
+	if err != nil {
+		return nil, err
 	}
-	pool := newEvalPool(o.Workers, model, o.FullReschedule, o.StrictHash, &res.Stats)
-	ev := pool.primary()
-	ftOpts := ftree.Options{
-		MaxLevel:      o.MaxLevel,
-		MaxCandidates: o.MaxCandidates,
-		NaiveFission:  o.NaiveFission,
-	}
-
-	start := time.Now()
+	res, ev := l.res, l.pool.primary()
 	init := &State{G: g.Clone()}
 	if o.CheckInvariants {
 		if err := graph.Validate(init.G); err != nil {
@@ -348,37 +328,22 @@ func OptimizeSeeded(ctx context.Context, g *graph.Graph, model *cost.Model, o Op
 	}); err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrInitialEval, err)
 	}
-	quar := newQuarantine(o.QuarantineAfter)
 	if o.DisableFission {
 		init.FT = &ftree.Tree{}
 	} else if err := guard(ftreeRuleName, "initial F-Tree build", func() error {
 		ev.hot(init)
 		t := time.Now()
-		init.FT = ftree.Build(init.G, init.Hot, ftOpts)
+		init.FT = ftree.Build(init.G, init.Hot, l.ftOpts)
 		res.Stats.FTreeTime += time.Since(t)
 		return nil
 	}); err != nil {
 		// Degrade to a fission-free search instead of dying.
-		res.Diagnostics.notePanic(err, quar)
+		res.Diagnostics.notePanic(err, l.quar)
 		init.FT = &ftree.Tree{}
 	}
 
-	l := &searchLoop{
-		o:      &o,
-		res:    res,
-		quar:   quar,
-		seen:   make(map[uint64]bool),
-		q:      &stateQueue{opts: &o},
-		best:   init,
-		start:  start,
-		input:  g,
-		model:  model,
-		pool:   pool,
-		ftOpts: ftOpts,
-		gp:     &ev.gp,
-	}
+	l.best = init
 	res.History = append(res.History, HistoryPoint{l.elapsed(), init.PeakMem, init.Latency})
-	heap.Init(l.q)
 	heap.Push(l.q, init)
 	l.seen[ev.hash(init, nil)] = true
 	for _, sd := range seeds {
@@ -386,6 +351,38 @@ func OptimizeSeeded(ctx context.Context, g *graph.Graph, model *cost.Model, o Op
 	}
 	l.run(ctx)
 	return res, nil
+}
+
+// newSearch builds the search both OptimizeSeeded and Resume run: the
+// guarded baseline of the input graph, the evaluation pool, and an empty
+// frontier, duplicate filter and quarantine for the caller to fill. Its
+// clock starts now.
+func newSearch(input *graph.Graph, model *cost.Model, o *Options) (*searchLoop, error) {
+	res := &Result{}
+	if err := guard("init", "baseline evaluation", func() error {
+		res.Baseline = Baseline(input, model)
+		return nil
+	}); err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrInitialEval, err)
+	}
+	pool := newEvalPool(o.Workers, model, &res.Stats)
+	return &searchLoop{
+		o:     o,
+		res:   res,
+		quar:  newQuarantine(o.QuarantineAfter),
+		seen:  make(map[uint64]bool),
+		q:     &stateQueue{opts: o},
+		start: time.Now(),
+		input: input,
+		model: model,
+		pool:  pool,
+		ftOpts: ftree.Options{
+			MaxLevel:      o.MaxLevel,
+			MaxCandidates: o.MaxCandidates,
+			NaiveFission:  o.NaiveFission,
+		},
+		gp: &pool.primary().gp,
+	}, nil
 }
 
 // warmRuleName is the pseudo-rule seed replay failures are attributed to
@@ -634,7 +631,7 @@ func (l *searchLoop) absorb(cand *candidate, out *candOutcome, rc *reachCache) {
 		res.History = append(res.History,
 			HistoryPoint{time.Since(l.start), l.best.PeakMem, l.best.Latency})
 	}
-	if l.o.better(cand.state, l.best, l.o.Delta) {
+	if l.o.better(cand.state, l.best, pushDelta) {
 		// Only states entering the frontier can ever be expanded, so only
 		// they keep a handle on this expansion's reach cache.
 		cand.state.reachHint = rc

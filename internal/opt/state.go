@@ -136,12 +136,10 @@ func (rc *reachCache) index() *graph.ReachIndex {
 // shared between goroutines. Read-only inputs (cost model, parent state,
 // reach index) are shared across the pool.
 type evaluator struct {
-	model  *cost.Model
-	sc     *sched.Scheduler
-	col    collapser
-	full   bool // force full rescheduling (ablation)
-	strict bool // force full WL hashing (escape hatch / oracle)
-	stats  *Stats
+	model *cost.Model
+	sc    *sched.Scheduler
+	col   collapser
+	stats *Stats
 
 	// rc is the expansion-shared reachability cache over the parent's eval
 	// graph, set by the search before each expansion.
@@ -158,13 +156,11 @@ type evaluator struct {
 	gp graphPool
 }
 
-func newEvaluator(model *cost.Model, full, strict bool, stats *Stats) *evaluator {
+func newEvaluator(model *cost.Model, stats *Stats) *evaluator {
 	e := &evaluator{
-		model:  model,
-		sc:     &sched.Scheduler{},
-		full:   full,
-		strict: strict,
-		stats:  stats,
+		model: model,
+		sc:    &sched.Scheduler{},
+		stats: stats,
 	}
 	e.col = collapser{model: model, sc: e.sc, ss: &e.ss, gp: &e.gp}
 	return e
@@ -198,7 +194,7 @@ func (e *evaluator) evaluate(s *State, prev *State, oldMutated []graph.NodeID) e
 	eg := s.EvalG
 
 	t0 := time.Now()
-	if prev == nil || e.full || len(oldMutated) == 0 {
+	if prev == nil || len(oldMutated) == 0 {
 		s.Sched = e.sc.ScheduleGraph(eg)
 		e.stats.Rescheduled += len(s.Sched)
 	} else {
@@ -224,10 +220,11 @@ func (e *evaluator) evaluate(s *State, prev *State, oldMutated []graph.NodeID) e
 
 // price fills in PeakMem and Latency for s from its EvalG and Sched: the
 // two numbers the search ranks a candidate by. Shared by live evaluation
-// and checkpoint restore so both price identically.
+// and checkpoint restore so both price identically. Collapsed fission
+// regions price themselves (RegionOp is sim.SelfCosted).
 func (e *evaluator) price(s *State) {
 	s.PeakMem = e.ss.PeakOnly(s.EvalG, s.Sched)
-	s.Latency = sim.Latency(s.EvalG, s.Sched, sim.Config{Model: e.model, NodeCost: regionNodeCost})
+	s.Latency = sim.Latency(s.EvalG, s.Sched, sim.Config{Model: e.model})
 }
 
 // hot fills in s.Hot, the hot-spot set of s's schedule, unless it is
@@ -243,34 +240,21 @@ func (e *evaluator) hot(s *State) {
 	e.stats.SimulTime += time.Since(t)
 }
 
-// regionNodeCost prices collapsed fission regions by their analytically
-// computed latency; every other node falls back to the cost model.
-func regionNodeCost(n *graph.Node) (float64, bool) {
-	if rop, ok := n.Op.(*RegionOp); ok {
-		return rop.Latency(), true
-	}
-	return 0, false
-}
-
 // hash returns the Weisfeiler-Lehman hash of the evaluation graph: states
 // with identical collapsed structure are duplicates for the search. With a
-// parent state available (and strict mode off) the hash splices into the
-// parent's label snapshot, re-labelling only nodes whose defining cone the
-// rewrite touched; the splice is self-verifying (see graph.WLHashFrom), so
-// the result is bit-identical to the full path either way. The snapshot
-// for this state's own children is captured as a side effect.
+// parent state available the hash splices into the parent's label
+// snapshot, re-labelling only nodes whose defining cone the rewrite
+// touched; the splice is self-verifying (see graph.WLHashFrom), so the
+// result is bit-identical to graph.WLHashScratch. The snapshot for this
+// state's own children is captured as a side effect.
 func (e *evaluator) hash(s *State, prev *State) uint64 {
 	t := time.Now()
-	var h uint64
-	if e.strict {
-		h = s.EvalG.WLHashScratch(&e.hs)
-	} else {
-		var pwl *graph.WLLabels
-		if prev != nil {
-			pwl = prev.wl
-		}
-		h, s.wl = s.EvalG.WLHashFrom(pwl, &e.hs)
+	var pwl *graph.WLLabels
+	if prev != nil {
+		pwl = prev.wl
 	}
+	h, wl := s.EvalG.WLHashFrom(pwl, &e.hs)
+	s.wl = wl
 	e.stats.Hash++
 	e.stats.HashTime += time.Since(t)
 	return h

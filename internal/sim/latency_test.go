@@ -27,8 +27,17 @@ func withSwaps(g *graph.Graph) *graph.Graph {
 	return g
 }
 
+// selfCosted wraps an operator with a fixed latency, the way the
+// optimizer's collapsed fission regions price themselves.
+type selfCosted struct {
+	graph.Op
+	lat float64
+}
+
+func (s selfCosted) Latency() float64 { return s.lat }
+
 // TestLatencyMatchesRun: the timing pass alone must report exactly the
-// makespan of the full simulation, under every Config that changes timing.
+// makespan of the full simulation, under every input that changes timing.
 func TestLatencyMatchesRun(t *testing.T) {
 	workloads := []*models.Workload{
 		models.MLP(8, 64, 128, 10, 3),
@@ -38,31 +47,32 @@ func TestLatencyMatchesRun(t *testing.T) {
 	for _, w := range workloads {
 		g := withSwaps(w.G)
 		order := sched.Schedule(g.Topo())
+		costed := g.Clone()
 		slow := order[len(order)/2]
-		configs := map[string]Config{
-			"plain": {Model: model()},
-			"node-cost": {Model: model(), NodeCost: func(n *graph.Node) (float64, bool) {
-				if n.ID == slow {
-					return 3e-3, true
-				}
-				return 0, false
-			}},
-			"faults": {Model: model(), Faults: &FaultHooks{
+		costed.SetOp(slow, selfCosted{costed.Node(slow).Op, 3e-3})
+		cases := []struct {
+			name string
+			g    *graph.Graph
+			cfg  Config
+		}{
+			{"plain", g, Config{Model: model()}},
+			{"self-costed", costed, Config{Model: model()}},
+			{"faults", g, Config{Model: model(), Faults: &FaultHooks{
 				LatencyScale: func(n *graph.Node) float64 { return 1 + float64(n.ID%5)/4 },
 				TransferFailures: func(n *graph.Node) int {
 					return int(n.ID % 6) // up to 5: some transfers abort
 				},
 				RetryJitter: 0.3,
 				JitterSeed:  7,
-			}},
+			}}},
 		}
-		for name, cfg := range configs {
-			r := Run(g, order, cfg)
-			if name == "faults" && r.Retries == 0 {
-				t.Fatalf("%s/%s: no transfer retried; the fault hooks are not exercised", w.Name, name)
+		for _, c := range cases {
+			r := Run(c.g, order, c.cfg)
+			if c.name == "faults" && r.Retries == 0 {
+				t.Fatalf("%s/%s: no transfer retried; the fault hooks are not exercised", w.Name, c.name)
 			}
-			if got := Latency(g, order, cfg); got != r.Latency {
-				t.Errorf("%s/%s: Latency = %v, Run latency = %v", w.Name, name, got, r.Latency)
+			if got := Latency(c.g, order, c.cfg); got != r.Latency {
+				t.Errorf("%s/%s: Latency = %v, Run latency = %v", w.Name, c.name, got, r.Latency)
 			}
 		}
 	}

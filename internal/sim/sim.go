@@ -21,10 +21,6 @@ import (
 type Config struct {
 	// Model prices operator latencies.
 	Model *cost.Model
-	// NodeCost overrides the latency of specific nodes (used by the
-	// optimizer to price collapsed fission regions). Return ok=false to
-	// fall back to Model.
-	NodeCost func(n *graph.Node) (lat float64, ok bool)
 	// Timeline requests a memory-over-time trace (Fig. 16).
 	Timeline bool
 	// Faults perturbs the execution (fault-injection replay); nil runs the
@@ -183,11 +179,6 @@ func timing(g *graph.Graph, order sched.Schedule, cfg Config, res *Result) (star
 	finish = make([]float64, bound)
 
 	latency := func(node *graph.Node) float64 {
-		if cfg.NodeCost != nil {
-			if l, ok := cfg.NodeCost(node); ok {
-				return l
-			}
-		}
 		// Payloads may carry their own latency (collapsed fission regions).
 		if sc, ok := node.Op.(SelfCosted); ok {
 			return sc.Latency()

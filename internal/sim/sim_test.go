@@ -157,21 +157,16 @@ func TestTimelineMonotoneTime(t *testing.T) {
 	}
 }
 
-func TestNodeCostOverride(t *testing.T) {
+// TestSelfCostedLatency: a payload that prices itself (as the optimizer's
+// collapsed fission regions do) is timed by its own latency, not the
+// cost model's.
+func TestSelfCostedLatency(t *testing.T) {
 	g := graph.New()
 	x := g.Add(ops.NewInput(tensor.S(16), tensor.F32))
-	a := g.Add(ops.NewReLU(tensor.S(16), tensor.F32), x)
-	r := Run(g, sched.Schedule{x, a}, Config{
-		Model: model(),
-		NodeCost: func(n *graph.Node) (float64, bool) {
-			if n.ID == a {
-				return 42, true
-			}
-			return 0, false
-		},
-	})
+	a := g.Add(selfCosted{ops.NewReLU(tensor.S(16), tensor.F32), 42}, x)
+	r := Run(g, sched.Schedule{x, a}, Config{Model: model()})
 	if r.Latency != 42 {
-		t.Errorf("override ignored: latency = %g", r.Latency)
+		t.Errorf("self-costed payload ignored: latency = %g", r.Latency)
 	}
 }
 
