@@ -54,11 +54,15 @@ func RTX3090() *Device {
 
 // Model computes operator latencies against one Device, memoizing results
 // in a performance cache keyed by operator signature — mirroring the
-// paper's simulator with operator performance cache. The cache is a
-// sync.Map read concurrently by every search worker; the previous
-// mutex-guarded map serialized the workers (every candidate evaluation
-// prices hundreds of operators) and was a measured cause of the pool's
-// flat scaling.
+// paper's simulator with operator performance cache. Each latency is also
+// memoized on the Spec itself, tagged with the model (ops.Spec.Priced), so
+// pricing a descriptor again costs one atomic load: no signature string
+// and no shared-map lookup. The shared cache keyed by Spec.SigKey is the
+// fallback for a fresh Spec, and it holds strings, not Specs, so a
+// long-lived model pins no operator descriptor. It is a sync.Map read
+// concurrently by every search worker; the previous mutex-guarded map
+// serialized the workers (every candidate evaluation prices hundreds of
+// operators) and was a measured cause of the pool's flat scaling.
 type Model struct {
 	Dev *Device
 
@@ -75,18 +79,25 @@ func NewModel(dev *Device) *Model {
 // OpLatency returns the latency of one execution of s, in seconds.
 // Leaf nodes (Input/Param) cost nothing; transfers are sized by HostBW;
 // compute ops follow a roofline with occupancy-dependent utilization.
+// A latency memoized on s or found in the shared cache counts as a hit.
 func (m *Model) OpLatency(s *ops.Spec) float64 {
+	if v, ok := s.Priced(m); ok {
+		m.hits.Add(1)
+		return v
+	}
 	if ops.IsLeaf(s.Kind()) {
 		return 0
 	}
 	key := s.SigKey()
 	if v, ok := m.cache.Load(key); ok {
 		m.hits.Add(1)
+		s.SetPriced(m, v.(float64))
 		return v.(float64)
 	}
 	m.miss.Add(1)
 	v := m.rawLatency(s)
 	m.cache.Store(key, v)
+	s.SetPriced(m, v)
 	return v
 }
 

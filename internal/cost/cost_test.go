@@ -74,6 +74,35 @@ func TestPerformanceCache(t *testing.T) {
 	}
 }
 
+// TestSpecMemoPerModel checks the latency memoized on a Spec: it answers
+// only the model that priced it, a second model gets its own latency, and
+// a fresh Spec with the same signature is answered by the shared cache.
+func TestSpecMemoPerModel(t *testing.T) {
+	slow := RTX3090()
+	slow.Launch *= 2
+	a, b := NewModel(RTX3090()), NewModel(slow)
+	op := ops.NewMatmul(tensor.S(256, 256), tensor.S(256, 256), false, false, tensor.F32)
+	la, lb := a.OpLatency(op), b.OpLatency(op)
+	if la == lb {
+		t.Fatalf("both models price %g: the second read the first's memo", la)
+	}
+	for i := 0; i < 2; i++ {
+		if got := a.OpLatency(op); got != la {
+			t.Errorf("model a: %g, first priced %g", got, la)
+		}
+		if got := b.OpLatency(op); got != lb {
+			t.Errorf("model b: %g, first priced %g", got, lb)
+		}
+	}
+	twin := ops.NewMatmul(tensor.S(256, 256), tensor.S(256, 256), false, false, tensor.F32)
+	if got := a.OpLatency(twin); got != la {
+		t.Errorf("fresh twin: %g, want %g", got, la)
+	}
+	if hits, misses := a.CacheStats(); hits != 3 || misses != 1 {
+		t.Errorf("model a: %d hits, %d misses; want 3, 1", hits, misses)
+	}
+}
+
 func TestMonotoneInN(t *testing.T) {
 	// Total latency of n sequential parts grows with n.
 	m := NewModel(RTX3090())

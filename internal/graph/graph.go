@@ -339,6 +339,91 @@ func (g *Graph) RedirectConsumers(old, new NodeID, except ...NodeID) {
 	}
 }
 
+// Contract replaces the member set s with one new node computing op and
+// returns its ID. The new node consumes G.inps(S), ascending; each consumer
+// outside S takes the new node in every input slot that held a member; the
+// members and their internal edges are deleted. The edge lists come out
+// exactly as adding the node, rewiring each member's consumers in
+// ascending order and then removing the members one by one would leave
+// them.
+//
+// Every member must exist; like Add with a missing input, Contract panics
+// otherwise. S must be convex: a path that leaves S and re-enters it would
+// become a cycle through the new node. Contract checks that first, by the
+// downstream flood of IsConvex, and returns an error on a non-convex S
+// with g untouched. Apart from that flood, the work is linear in the edges
+// of S.
+func (g *Graph) Contract(s Set, op Op) (NodeID, error) {
+	if len(s) == 0 {
+		return Invalid, fmt.Errorf("graph: Contract: empty set")
+	}
+	for _, v := range s {
+		if !g.Has(v) {
+			panic(fmt.Sprintf("graph: Contract: member %d does not exist", v))
+		}
+	}
+	t := g.members(s)
+	defer tables.Put(t)
+	if !g.convex(t, s) {
+		return Invalid, fmt.Errorf("graph: Contract: set at %d is not convex, contracting it closes a cycle", s[0])
+	}
+	ins := g.inps(t, s)
+	id := g.next
+	g.next++
+	g.grow(id)
+	g.nodes[id] = &Node{ID: id, Op: op, Ins: ins[:len(ins):len(ins)]}
+	g.n++
+	// Each external producer loses its edges into S and gains one to id.
+	for _, p := range ins {
+		kept := g.suc[p][:0]
+		for _, c := range g.suc[p] {
+			if !t.isMember(c) {
+				kept = append(kept, c)
+			}
+		}
+		g.suc[p] = append(kept, id)
+	}
+	// Each member's consumer list is about to be dropped: filter it in
+	// place to the external consumers and sort it, so id's list is those
+	// consumers by member, then by ID, with multiplicity.
+	out := 0
+	for _, v := range s {
+		ext := g.suc[v][:0]
+		for _, c := range g.suc[v] {
+			if !t.isMember(c) {
+				ext = append(ext, c)
+			}
+		}
+		slices.Sort(ext)
+		g.suc[v] = ext
+		out += len(ext)
+	}
+	if out > 0 {
+		sucs := make([]NodeID, 0, out)
+		for _, v := range s {
+			ext := g.suc[v]
+			for i, c := range ext {
+				if i == 0 || ext[i-1] != c {
+					cins := g.nodes[c].Ins
+					for j, in := range cins {
+						if in == v {
+							cins[j] = id
+						}
+					}
+				}
+			}
+			sucs = append(sucs, ext...)
+		}
+		g.suc[id] = sucs
+	}
+	for _, v := range s {
+		g.nodes[v] = nil
+		g.suc[v] = nil
+	}
+	g.n -= len(s)
+	return id, nil
+}
+
 // SetOp replaces the operator payload of v in place.
 func (g *Graph) SetOp(v NodeID, op Op) { g.nodes[v].Op = op }
 
@@ -474,15 +559,20 @@ func (g *Graph) CloneInto(dst *Graph) {
 	g.cloneInto(dst)
 }
 
+// cloneRoom is the fewest free slots cloneInto leaves past the ID range,
+// so the first few Adds on a clone (a rewrite's new nodes, a collapsed
+// region's node) do not regrow its ID tables.
+const cloneRoom = 8
+
 func (g *Graph) cloneInto(c *Graph) {
 	n := len(g.nodes)
-	if cap(c.nodes) < n {
-		c.nodes = make([]*Node, n)
+	if cap(c.nodes) < n+cloneRoom {
+		c.nodes = make([]*Node, n, n+n/8+cloneRoom)
 	} else {
 		c.nodes = c.nodes[:n]
 	}
-	if cap(c.suc) < n {
-		c.suc = make([][]NodeID, n)
+	if cap(c.suc) < n+cloneRoom {
+		c.suc = make([][]NodeID, n, n+n/8+cloneRoom)
 	} else {
 		c.suc = c.suc[:n]
 	}

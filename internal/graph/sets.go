@@ -122,20 +122,41 @@ func (t *IDTable) Get(v NodeID) (x int32, ok bool) {
 	return 0, false
 }
 
+// memberTable is the pooled working set of the member loops below: a
+// membership table plus a reusable work stack.
+type memberTable struct {
+	IDTable
+	stack []NodeID
+}
+
+// Values a memberTable maps nodes to: S's members, and nodes outside S
+// that a walk has reached.
+const (
+	member  = 0
+	reached = 1
+)
+
 // tables recycles the membership tables of the loops below: a pooled
 // table starts a new generation in O(1), so a loop over S costs O(|S|)
 // rather than an allocation sized by the graph's ID range.
-var tables = sync.Pool{New: func() any { return new(IDTable) }}
+var tables = sync.Pool{New: func() any { return new(memberTable) }}
 
-// members returns a pooled table holding every member of s, mapped to 0.
-// The caller hands it back with tables.Put.
-func (g *Graph) members(s Set) *IDTable {
-	t := tables.Get().(*IDTable)
+// members returns a pooled table holding every member of s, mapped to
+// member, with an empty stack. The caller hands it back with tables.Put.
+func (g *Graph) members(s Set) *memberTable {
+	t := tables.Get().(*memberTable)
 	t.Reset(len(g.nodes))
 	for _, v := range s {
-		t.Put(v, 0)
+		t.Put(v, member)
 	}
+	t.stack = t.stack[:0]
 	return t
+}
+
+// isMember reports whether t maps v to member.
+func (t *memberTable) isMember(v NodeID) bool {
+	x, ok := t.Get(v)
+	return ok && x == member
 }
 
 // Anc returns all (strict) ancestors of v: G.anc(v).
@@ -176,10 +197,17 @@ func (g *Graph) closure(start []NodeID, next func(NodeID) []NodeID) Set {
 
 // Inps returns G.inps(S): the nodes outside S consumed by members of S.
 func (g *Graph) Inps(s Set) Set {
+	t := g.members(s)
+	defer tables.Put(t)
+	return g.inps(t, s)
+}
+
+// inps is Inps over a table mapping S's members to member.
+func (g *Graph) inps(t *memberTable, s Set) Set {
 	var out []NodeID
 	for _, v := range s {
 		for _, p := range g.nodes[v].Ins {
-			if !s.Has(p) {
+			if !t.isMember(p) {
 				out = append(out, p)
 			}
 		}
@@ -190,23 +218,78 @@ func (g *Graph) Inps(s Set) Set {
 // Outs returns G.outs(S): members of S whose output is consumed outside S
 // or that are outputs of the whole graph.
 func (g *Graph) Outs(s Set) Set {
+	t := g.members(s)
+	defer tables.Put(t)
 	var out Set
 	for _, v := range s {
 		sucs := g.sucList(v)
-		if len(sucs) == 0 || slices.ContainsFunc(sucs, func(c NodeID) bool { return !s.Has(c) }) {
+		if len(sucs) == 0 || slices.ContainsFunc(sucs, func(c NodeID) bool { return !t.isMember(c) }) {
 			out = append(out, v)
 		}
 	}
 	return out
 }
 
-// TopoWithin returns the members of s in g's topological order.
+// TopoWithin returns the members of s in g's topological order (Topo's
+// order, restricted to S). Only S's ancestor closure is sorted, and only
+// until the last member is out: every producer of a closure node is in
+// the closure, so a closure node becomes ready exactly when it does in
+// the whole graph, and whenever Topo's smallest ready node is in the
+// closure it is the closure's smallest ready node. Members absent from g
+// are skipped.
 func (g *Graph) TopoWithin(s Set) []NodeID {
-	out := make([]NodeID, 0, len(s))
-	for _, v := range g.Topo() {
-		if s.Has(v) {
+	t := g.members(s)
+	defer tables.Put(t)
+	// Collect the closure, then map each closure node to its in-degree,
+	// shifted left once, with the low bit marking members.
+	cone := t.stack[:0]
+	for _, v := range s {
+		if g.Has(v) {
+			cone = append(cone, v)
+		}
+	}
+	want := len(cone)
+	for i := 0; i < len(cone); i++ {
+		for _, p := range g.nodes[cone[i]].Ins {
+			if _, ok := t.Get(p); !ok {
+				t.Put(p, reached)
+				cone = append(cone, p)
+			}
+		}
+	}
+	var frontier []NodeID
+	for _, v := range cone {
+		x, _ := t.Get(v)
+		in := int32(len(g.nodes[v].Ins))
+		if x == member {
+			t.Put(v, in<<1|1)
+		} else {
+			t.Put(v, in<<1)
+		}
+		if in == 0 {
+			frontier = append(frontier, v)
+		}
+	}
+	t.stack = cone[:0]
+	slices.Sort(frontier)
+	out := make([]NodeID, 0, want)
+	for head := 0; head < len(frontier) && len(out) < want; head++ {
+		v := frontier[head]
+		if x, _ := t.Get(v); x&1 == 1 {
 			out = append(out, v)
 		}
+		for _, c := range g.sucList(v) {
+			if x, ok := t.Get(c); ok {
+				t.Put(c, x-2)
+				if x>>1 == 1 {
+					i, _ := slices.BinarySearch(frontier[head+1:], c)
+					frontier = slices.Insert(frontier, head+1+i, c)
+				}
+			}
+		}
+	}
+	if len(out) < want {
+		panic("graph: cycle detected in Topo")
 	}
 	return out
 }
@@ -216,14 +299,21 @@ func (g *Graph) TopoWithin(s Set) []NodeID {
 // G.inps(S) be disjoint from the descendants of G.outs(S): a path re-enters
 // S exactly through one of its inputs.
 func (g *Graph) IsConvex(s Set) bool {
-	const outside = 1 // a reached node outside S; members map to 0
 	t := g.members(s)
 	defer tables.Put(t)
-	var stack []NodeID
+	return g.convex(t, s)
+}
+
+// convex is IsConvex over a table mapping S's members to member. It floods
+// downstream from S's external consumers, marking every node it reaches
+// outside S, and fails as soon as the flood reaches a member.
+func (g *Graph) convex(t *memberTable, s Set) bool {
+	stack := t.stack[:0]
+	defer func() { t.stack = stack[:0] }()
 	for _, v := range s {
 		for _, c := range g.sucList(v) {
 			if _, ok := t.Get(c); !ok {
-				t.Put(c, outside)
+				t.Put(c, reached)
 				stack = append(stack, c)
 			}
 		}
@@ -233,9 +323,9 @@ func (g *Graph) IsConvex(s Set) bool {
 		stack = stack[:len(stack)-1]
 		for _, c := range g.sucList(u) {
 			if x, ok := t.Get(c); !ok {
-				t.Put(c, outside)
+				t.Put(c, reached)
 				stack = append(stack, c)
-			} else if x != outside {
+			} else if x == member {
 				return false // path left S and re-entered
 			}
 		}
@@ -261,7 +351,7 @@ func (g *Graph) Components(s Set) [][]NodeID {
 	defer tables.Put(t)
 	var comps [][]NodeID
 	for _, v := range s {
-		if x, _ := t.Get(v); x == 0 {
+		if t.isMember(v) {
 			comp := g.flood(t, v)
 			slices.Sort(comp)
 			comps = append(comps, comp)
@@ -271,14 +361,14 @@ func (g *Graph) Components(s Set) [][]NodeID {
 }
 
 // flood returns the members weakly connected to member v in G[S], where t
-// maps S's members to 0 until they are reached and to 1 after.
-func (g *Graph) flood(t *IDTable, v NodeID) []NodeID {
+// maps S's members to member until they are reached and to reached after.
+func (g *Graph) flood(t *memberTable, v NodeID) []NodeID {
 	var comp []NodeID
 	stack := []NodeID{v}
-	t.Put(v, 1)
+	t.Put(v, reached)
 	visit := func(w NodeID) {
-		if x, ok := t.Get(w); ok && x == 0 {
-			t.Put(w, 1)
+		if t.isMember(w) {
+			t.Put(w, reached)
 			stack = append(stack, w)
 		}
 	}

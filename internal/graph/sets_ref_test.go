@@ -304,3 +304,105 @@ func TestSetAlgebraMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// refContract is the contraction Contract replaced: add the node, rewire
+// each member's consumers outside s in ascending order, reject a cycle by
+// a whole-graph TopoE, then remove the members in reverse TopoWithin
+// order.
+func refContract(g *Graph, s Set, op Op) (NodeID, error) {
+	id := g.Add(op, g.Inps(s)...)
+	for _, v := range g.Outs(s) {
+		for _, c := range g.Suc(v) {
+			if c != id && !s.Has(c) {
+				g.ReplaceInput(c, v, id)
+			}
+		}
+	}
+	if _, err := g.TopoE(); err != nil {
+		return Invalid, err
+	}
+	members := g.TopoWithin(s)
+	for i := len(members) - 1; i >= 0; i-- {
+		if err := g.Remove(members[i]); err != nil {
+			return Invalid, err
+		}
+	}
+	return id, nil
+}
+
+// sameGraph fails unless got and want have the same nodes, next ID,
+// operators and input lists, and consumer lists in the same order.
+func sameGraph(t *testing.T, tag string, got, want *Graph) {
+	t.Helper()
+	if got.Len() != want.Len() || got.NextID() != want.NextID() {
+		t.Fatalf("%s: %d nodes, next ID %d; reference %d, %d", tag, got.Len(), got.NextID(), want.Len(), want.NextID())
+	}
+	for id := NodeID(0); id < want.NextID(); id++ {
+		gn, wn := got.Node(id), want.Node(id)
+		if (gn == nil) != (wn == nil) {
+			t.Fatalf("%s: node %d present %v, reference %v", tag, id, gn != nil, wn != nil)
+		}
+		if wn == nil {
+			continue
+		}
+		if gn.Op != wn.Op || !slices.Equal(gn.Ins, wn.Ins) || !slices.Equal(got.sucList(id), want.sucList(id)) {
+			t.Fatalf("%s: node %d: ins %v, consumers %v; reference %v, %v",
+				tag, id, gn.Ins, got.sucList(id), wn.Ins, want.sucList(id))
+		}
+	}
+}
+
+// TestContractMatchesReference contracts random member sets of random
+// DAGs, whose consumer lists random edits have left out of ID order, and
+// checks that Contract fails exactly when the reference finds a cycle,
+// leaves the graph untouched when it fails, and otherwise leaves every
+// node, input list and consumer list as the reference does.
+func TestContractMatchesReference(t *testing.T) {
+	seqs := 60
+	if testing.Short() {
+		seqs = 15
+	}
+	op := orOp("Region", 1)
+	var ok, refused int
+	for seq := 0; seq < seqs; seq++ {
+		r := rand.New(rand.NewSource(int64(5000 + seq)))
+		g := oracleDAG(r, 4+r.Intn(40))
+		for step := 0; step < 3; step++ {
+			for k := 0; k < 20; k++ {
+				ids := randomSubset(r, g)
+				if k%2 == 0 && len(ids) > 0 { // dominator sub-trees are convex
+					ids = Dominators(g).DesWith(ids[0])
+				}
+				if len(ids) == 0 {
+					continue
+				}
+				tag := fmt.Sprintf("seq %d step %d set %d", seq, step, k)
+				s := NewSet(ids...)
+				got, want := g.Clone(), g.Clone()
+				id, err := got.Contract(s, op)
+				rid, rerr := refContract(want, s, op)
+				if (err == nil) != (rerr == nil) {
+					t.Fatalf("%s: Contract(%v) error %v, reference %v", tag, s, err, rerr)
+				}
+				if err != nil {
+					refused++
+					sameGraph(t, tag+" (refused)", got, g)
+					continue
+				}
+				ok++
+				if id != rid {
+					t.Fatalf("%s: node %d, reference %d", tag, id, rid)
+				}
+				sameGraph(t, tag, got, want)
+				if err := Validate(got); err != nil {
+					t.Fatalf("%s: contracted graph invalid: %v", tag, err)
+				}
+			}
+			for !mutate(r, g) {
+			}
+		}
+	}
+	if ok == 0 || refused == 0 {
+		t.Fatalf("%d contractions, %d refusals: both outcomes must be exercised", ok, refused)
+	}
+}

@@ -45,7 +45,30 @@ type Spec struct {
 	// uses race benignly: both compute the same value.
 	akey atomic.Pointer[string]
 	skey atomic.Pointer[string]
+	// lat memoizes the latest pricing of the descriptor (see Priced).
+	lat atomic.Pointer[pricing]
 }
+
+// pricing is one latency a pricer gave a Spec.
+type pricing struct {
+	by  any
+	sec float64
+}
+
+// Priced returns the latency pricer by memoized on s with SetPriced, if
+// it is the latest one memoized. A pricer is any comparable identity, in
+// practice a cost model; the memo references the pricer, never the
+// reverse, so memoizing pins no Spec.
+func (s *Spec) Priced(by any) (sec float64, ok bool) {
+	if p := s.lat.Load(); p != nil && p.by == by {
+		return p.sec, true
+	}
+	return 0, false
+}
+
+// SetPriced memoizes sec as pricer by's latency of s, replacing any
+// earlier pricing. Concurrent calls race benignly, like the key memos.
+func (s *Spec) SetPriced(by any, sec float64) { s.lat.Store(&pricing{by, sec}) }
 
 // Kind returns the operator name ("Matmul", "Conv2d", ...).
 func (s *Spec) Kind() string { return s.kind }

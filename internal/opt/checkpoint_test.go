@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"magis/internal/fsatomic"
 )
@@ -160,6 +161,36 @@ func TestCheckpointResumeAfterCancel(t *testing.T) {
 	if got.bestHash != want.bestHash || got.peakMem != want.peakMem ||
 		got.latBits != want.latBits || got.iterations != want.iterations {
 		t.Errorf("resumed run diverged: %+v vs %+v", got, want)
+	}
+}
+
+// TestResumeHistoryMonotone checks that History is stamped with the
+// search's elapsed time across incarnations: after a resume, a new best
+// is stamped after every restored point. The first incarnation sleeps
+// after each expansion, so its clock runs well ahead of the time the
+// resumed one takes to find its next best.
+func TestResumeHistoryMonotone(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "search.ckpt")
+	o := checkpointOptions(1, 2, path)
+	o.OnExpansion = func(int) { time.Sleep(20 * time.Millisecond) }
+	half, err := Optimize(fatMLP(), model(), o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Resume(context.Background(), path, model(), func(o *Options) {
+		o.MaxIterations = 12
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.History) <= len(half.History) {
+		t.Fatalf("no new best after the resume (%d points before, %d after): nothing to check",
+			len(half.History), len(res.History))
+	}
+	for i := 1; i < len(res.History); i++ {
+		if prev, cur := res.History[i-1].Elapsed, res.History[i].Elapsed; cur < prev {
+			t.Errorf("History[%d] stamped at %v, before History[%d] at %v", i, cur, i-1, prev)
+		}
 	}
 }
 

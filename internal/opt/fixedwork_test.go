@@ -44,9 +44,9 @@ type fixedWork struct {
 }
 
 var fixedWorks = []fixedWork{
-	{"search-bert", bertBase, 20, 1, 6815916036, 0.47647040124689316, 0x170fc7a9323a0ee9, 2179},
-	{"search-nasnet/workers=1", nasnet528, 40, 1, 93401536, 0.011411408471770784, 0x876e827a66a416b4, 544},
-	{"search-nasnet/workers=2", nasnet528, 40, 2, 93401536, 0.011411408471770784, 0x876e827a66a416b4, 511},
+	{"search-bert", bertBase, 20, 1, 6815916036, 0.47647040124689316, 0x170fc7a9323a0ee9, 1602},
+	{"search-nasnet/workers=1", nasnet528, 40, 1, 93401536, 0.011411408471770784, 0x876e827a66a416b4, 333},
+	{"search-nasnet/workers=2", nasnet528, 40, 2, 93401536, 0.011411408471770784, 0x876e827a66a416b4, 326},
 }
 
 // TestFixedWorkSearches runs each pinned search once and checks its plan
@@ -128,7 +128,7 @@ func TestAllocsPerOp(t *testing.T) {
 		op     func()
 	}{
 		{"Baseline", 268, func() { Baseline(unet, m) }},
-		{"Neighbors", 2117, func() { neighbors(st, &o, res, quar, nil) }},
+		{"Neighbors", 2006, func() { neighbors(st, &o, res, quar, nil) }},
 		{"WLHash", 0, func() { mlp.WLHashScratch(&hs) }},
 	} {
 		if got := testing.AllocsPerRun(5, c.op); got > allocCeiling*c.pinned {

@@ -2,13 +2,16 @@ package opt
 
 import "magis/internal/graph"
 
-// The allocation diet's recycling half. Every candidate costs two deep
-// graph copies — the rewritten logical graph a rule produces and the
-// collapsed evaluation graph — and the search rejects the vast majority of
-// candidates (duplicates, non-improving states) within the same expansion
-// that created them. graphPool keeps those discarded shells on a free list
-// so graph.CloneInto can reuse their backing arrays instead of feeding the
-// allocator.
+// The allocation diet's recycling half. A rule candidate costs one deep
+// graph copy, the rewritten logical graph its rule produces; a candidate
+// with an enabled fission region costs one more, the collapsed evaluation
+// graph. A candidate with no enabled region evaluates its logical graph
+// itself, so it costs no copy of its own (an F-Tree mutation candidate
+// that disables the last region costs none at all). The search rejects
+// the vast majority of candidates (duplicates, non-improving states)
+// within the same expansion that created them. graphPool keeps those
+// discarded shells on a free list so graph.CloneInto can reuse their
+// backing arrays instead of feeding the allocator.
 //
 // Ownership is strictly single-goroutine: the search goroutine owns the
 // central pool (rule clones in neighbors, recycling in absorb), each
@@ -18,12 +21,13 @@ import "magis/internal/graph"
 // needs a lock.
 //
 // Safety rests on one invariant: a graph enters a pool only when nothing
-// can reference it anymore. absorb recycles only candidates it just
-// rejected, and only the graphs that candidate owned outright — the
-// rewritten G of a rule candidate (F-Tree mutations share the parent's G
-// and own nothing) and the collapse-fresh EvalG. Accepted states, parents
-// (their G and WL/reach snapshots are shared with frontier children), and
-// seeds are never recycled.
+// can reference it anymore, and enters it once. absorb recycles only
+// candidates it just rejected, and only the graphs that candidate owned
+// outright: the rewritten G of a rule candidate (F-Tree mutations share
+// the parent's G and own nothing) and an EvalG that is not G, which is
+// then collapse-fresh. An EvalG that is G is the same shell and is not
+// put twice. Accepted states, parents (their G and WL/reach snapshots are
+// shared with frontier children), and seeds are never recycled.
 
 // poolCap bounds each free list so a burst of rejected candidates cannot
 // pin an unbounded amount of arena memory; overflow falls to the GC.

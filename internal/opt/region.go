@@ -8,7 +8,6 @@ package opt
 
 import (
 	"fmt"
-	"slices"
 
 	"magis/internal/cost"
 	"magis/internal/ftree"
@@ -78,7 +77,11 @@ func (r *RegionOp) Parts() int { return r.n }
 //
 // A memo hit skips ValidateOn; of its checks only convexity can silently
 // rot through key-invisible *external* graph edits, and that case still
-// fails loudly per candidate in replaceRegion's cycle check.
+// fails loudly per candidate: graph.Contract refuses a non-convex region.
+//
+// Each region's boundary in the logical graph (its outputs and sliced
+// inputs) is derived once per collapse and shared by the memo key and the
+// pricing; bnd holds them for the region being collapsed.
 type collapser struct {
 	model *cost.Model
 	sc    *sched.Scheduler
@@ -90,10 +93,66 @@ type collapser struct {
 	memo   map[string]*RegionOp
 	specID map[*ops.Spec]int32
 	keyBuf []byte
+	bnd    map[*ftree.Node]*boundary
+	// splits maps a member's descriptor, axis and fission number to its
+	// one-part descriptor, so a region priced again after a memo miss
+	// reuses its members' parts and their memoized latencies.
+	splits map[splitKey]*ops.Spec
+}
+
+type splitKey struct {
+	spec    *ops.Spec
+	axis, n int
+}
+
+// split returns spec's one-part descriptor for n parts along axis.
+func (c *collapser) split(spec *ops.Spec, axis, n int) (*ops.Spec, error) {
+	k := splitKey{spec, axis, n}
+	if ps, ok := c.splits[k]; ok {
+		return ps, nil
+	}
+	ps, err := spec.SplitAxis(axis, n)
+	if err != nil {
+		return nil, err
+	}
+	if len(c.splits) >= splitLimit {
+		c.splits = nil
+	}
+	if c.splits == nil {
+		c.splits = make(map[splitKey]*ops.Spec)
+	}
+	c.splits[k] = ps
+	return ps, nil
+}
+
+// boundary is an enabled region's frontier in the logical graph: the
+// members read outside it (G.outs(S)) and the external inputs sliced along
+// a split axis, both ascending.
+type boundary struct {
+	outs, slicedIn []graph.NodeID
+}
+
+// boundary returns n's boundary in g, deriving it on first use within the
+// current region.
+func (c *collapser) boundary(g *graph.Graph, n *ftree.Node) *boundary {
+	if b, ok := c.bnd[n]; ok {
+		return b
+	}
+	b := &boundary{outs: g.Outs(n.T.S)}
+	b.slicedIn, _ = n.T.Inputs(g)
+	if c.bnd == nil {
+		c.bnd = make(map[*ftree.Node]*boundary)
+	}
+	c.bnd[n] = b
+	return b
 }
 
 // memoLimit bounds the region memo; the tables reset when it is reached.
-const memoLimit = 4096
+// splitLimit bounds the split table the same way.
+const (
+	memoLimit  = 4096
+	splitLimit = 4 * memoLimit
+)
 
 func appendI32(b []byte, x int32) []byte {
 	return append(b, byte(x), byte(x>>8), byte(x>>16), byte(x>>24))
@@ -115,9 +174,10 @@ func (c *collapser) specIdent(s *ops.Spec) int32 {
 // F-Tree node into c.keyBuf. Returns false when a member is not an
 // ops.Spec (the error path re-derives it without the memo).
 func (c *collapser) regionMemoKey(g *graph.Graph, n *ftree.Node) bool {
+	bd := c.boundary(g, n)
 	b := appendI32(c.keyBuf, int32(n.N))
-	outs := g.Outs(n.T.S)
 	b = appendI32(b, int32(len(n.T.S)))
+	outs := bd.outs
 	for _, v := range n.T.S {
 		node := g.Node(v)
 		spec, ok := node.Op.(*ops.Spec)
@@ -131,15 +191,16 @@ func (c *collapser) regionMemoKey(g *graph.Graph, n *ftree.Node) bool {
 		for _, in := range node.Ins {
 			b = appendI32(b, int32(in))
 		}
-		if outs.Has(v) {
+		// outs is an ascending subset of the ascending members.
+		if len(outs) > 0 && outs[0] == v {
 			b = append(b, 1)
+			outs = outs[1:]
 		} else {
 			b = append(b, 0)
 		}
 	}
-	slicedIn, _ := n.T.Inputs(g)
-	b = appendI32(b, int32(len(slicedIn)))
-	for _, u := range slicedIn {
+	b = appendI32(b, int32(len(bd.slicedIn)))
+	for _, u := range bd.slicedIn {
 		spec, ok := g.Node(u).Op.(*ops.Spec)
 		if !ok {
 			return false
@@ -171,15 +232,12 @@ func (c *collapser) peakOnly(g *graph.Graph, order sched.Schedule) int64 {
 // Collapse returns the evaluation graph of (g, t): every outermost enabled
 // F-Tree region replaced by one RegionOp node, nested enabled regions
 // folded recursively into their parent's accounting. It also returns a map
-// from region key (see regionKey) to the created node.
+// from region key (see regionKey) to the created node. With no enabled
+// region there is nothing to collapse: the evaluation graph is g itself,
+// shared read-only, and the map is nil. Otherwise it is a fresh clone of
+// g in which graph.Contract replaces each region, with no whole-graph
+// sort.
 func (c *collapser) Collapse(g *graph.Graph, t *ftree.Tree) (*graph.Graph, map[string]graph.NodeID, error) {
-	var eg *graph.Graph
-	if c.gp != nil {
-		eg = c.gp.clone(g)
-	} else {
-		eg = g.Clone()
-	}
-	regions := make(map[string]graph.NodeID)
 	var outer []*ftree.Node
 	if t != nil {
 		for _, n := range t.EnabledNodes() {
@@ -188,16 +246,27 @@ func (c *collapser) Collapse(g *graph.Graph, t *ftree.Tree) (*graph.Graph, map[s
 			}
 		}
 	}
+	if len(outer) == 0 {
+		return g, nil, nil
+	}
+	var eg *graph.Graph
+	if c.gp != nil {
+		eg = c.gp.clone(g)
+	} else {
+		eg = g.Clone()
+	}
+	regions := make(map[string]graph.NodeID, len(outer))
 	for _, n := range outer {
+		clear(c.bnd)
 		op, err := c.memoRegionOp(g, n)
 		if err != nil {
 			c.recycle(eg)
 			return nil, nil, err
 		}
-		id, err := replaceRegion(eg, n.T.S, op)
+		id, err := eg.Contract(n.T.S, op)
 		if err != nil {
 			c.recycle(eg)
-			return nil, nil, err
+			return nil, nil, fmt.Errorf("%w: region at %d: %w", ErrCollapse, n.T.S[0], err)
 		}
 		regions[regionKey(n.T.S)] = id
 	}
@@ -283,7 +352,7 @@ func (c *collapser) regionOp(g *graph.Graph, n *ftree.Node, overrides map[graph.
 		if err != nil {
 			return nil, err
 		}
-		ps, err := spec.SplitAxis(n.T.Choice[v], n.N)
+		ps, err := c.split(spec, n.T.Choice[v], n.N)
 		if err != nil {
 			return nil, fmt.Errorf("%w: region split: %w", ErrCollapse, err)
 		}
@@ -291,11 +360,11 @@ func (c *collapser) regionOp(g *graph.Graph, n *ftree.Node, overrides map[graph.
 	}
 	// Build the one-part graph: members with split specs plus placeholder
 	// inputs for sliced region inputs (their per-part slice is resident).
+	bd := c.boundary(g, n)
 	pg := graph.New()
-	idMap := make(map[graph.NodeID]graph.NodeID, len(n.T.S))
+	idMap := make(map[graph.NodeID]graph.NodeID, len(n.T.S)+len(bd.slicedIn))
 	var sliceLat float64
-	slicedIn, _ := n.T.Inputs(g)
-	for _, u := range slicedIn {
+	for _, u := range bd.slicedIn {
 		spec, err := base(u)
 		if err != nil {
 			// Inputs outside overrides at nested levels: use the graph op.
@@ -311,10 +380,14 @@ func (c *collapser) regionOp(g *graph.Graph, n *ftree.Node, overrides map[graph.
 		idMap[u] = pg.Add(ops.NewInput(sl.OutShape(), spec.DType()))
 		sliceLat += c.model.OpLatency(sl)
 	}
+	// Members in g's topological order: it fixes pg's IDs, and so the ties
+	// of the part schedule. idMap holds exactly the members placed so far
+	// and the sliced inputs, so it filters a member's inputs to the ones
+	// the part graph carries.
 	for _, v := range g.TopoWithin(n.T.S) {
 		var ins []graph.NodeID
 		for _, in := range g.Node(v).Ins {
-			if m, ok := idMap[in]; ok && (n.T.S.Has(in) || slices.Contains(slicedIn, in)) {
+			if m, ok := idMap[in]; ok {
 				ins = append(ins, m)
 			}
 		}
@@ -324,8 +397,7 @@ func (c *collapser) regionOp(g *graph.Graph, n *ftree.Node, overrides map[graph.
 	// added into a full-size accumulator and freed. Model the accumulator
 	// as a resident placeholder and the accumulation Add inside the part,
 	// so the partial's lifetime ends promptly.
-	outs := g.Outs(n.T.S)
-	for _, v := range outs {
+	for _, v := range bd.outs {
 		if n.T.Choice[v] >= 0 {
 			continue
 		}
@@ -349,8 +421,8 @@ func (c *collapser) regionOp(g *graph.Graph, n *ftree.Node, overrides map[graph.
 		for i, v := range child.T.S {
 			ids[i] = idMap[v]
 		}
-		if _, err := replaceRegion(pg, graph.NewSet(ids...), cop); err != nil {
-			return nil, err
+		if _, err := pg.Contract(graph.NewSet(ids...), cop); err != nil {
+			return nil, fmt.Errorf("%w: nested region at %d: %w", ErrCollapse, child.T.S[0], err)
 		}
 	}
 	// Accounting over the one-part graph.
@@ -370,7 +442,7 @@ func (c *collapser) regionOp(g *graph.Graph, n *ftree.Node, overrides map[graph.
 	// are already inside the part graph's accounting.
 	var concatOut, reduceOut int64
 	var mergeLat float64
-	for _, v := range outs {
+	for _, v := range bd.outs {
 		ps := part[v]
 		bytes := tensor.Bytes(ps.OutShape(), ps.DType())
 		if n.T.Choice[v] > 0 {
@@ -400,36 +472,6 @@ func (c *collapser) regionOp(g *graph.Graph, n *ftree.Node, overrides map[graph.
 		n:         n.N,
 		members:   len(n.T.S),
 	}, nil
-}
-
-// replaceRegion substitutes the member set s of eg with one region node.
-// Consumers of any region output are rewired to the region node; the
-// region node consumes every external input of s.
-func replaceRegion(eg *graph.Graph, s graph.Set, op *RegionOp) (graph.NodeID, error) {
-	id := eg.Add(op, eg.Inps(s)...)
-	for _, v := range eg.Outs(s) {
-		// Rewire only consumers OUTSIDE the region; internal edges vanish
-		// with the members below.
-		for _, c := range eg.Suc(v) {
-			if c != id && !s.Has(c) {
-				eg.ReplaceInput(c, v, id)
-			}
-		}
-	}
-	// Collapsing the region to one node requires that no other path runs
-	// from its outputs back to its inputs (possible when two mutually
-	// interleaved regions are enabled); detect and reject.
-	if _, err := eg.TopoE(); err != nil {
-		return graph.Invalid, fmt.Errorf("%w: region at %d: %w", ErrCollapse, s[0], err)
-	}
-	// Remove members (reverse topo within s so consumer checks pass).
-	members := eg.TopoWithin(s)
-	for i := len(members) - 1; i >= 0; i-- {
-		if err := eg.Remove(members[i]); err != nil {
-			return graph.Invalid, fmt.Errorf("%w: %w", ErrCollapse, err)
-		}
-	}
-	return id, nil
 }
 
 func directEnabledChildren(n *ftree.Node) []*ftree.Node {

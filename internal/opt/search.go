@@ -316,17 +316,27 @@ func OptimizeSeeded(ctx context.Context, g *graph.Graph, model *cost.Model, o Op
 	if err != nil {
 		return nil, err
 	}
-	res, ev := l.res, l.pool.primary()
+	if err := l.begin(g, seeds); err != nil {
+		return nil, err
+	}
+	l.run(ctx)
+	return l.res, nil
+}
+
+// begin evaluates a copy of g as the initial state, builds its F-Tree,
+// and admits it and then the warm-start seeds into the frontier.
+func (l *searchLoop) begin(g *graph.Graph, seeds []*State) error {
+	o, res, ev := l.o, l.res, l.pool.primary()
 	init := &State{G: g.Clone()}
 	if o.CheckInvariants {
 		if err := graph.Validate(init.G); err != nil {
-			return nil, fmt.Errorf("%w: input graph: %w", ErrInitialEval, err)
+			return fmt.Errorf("%w: input graph: %w", ErrInitialEval, err)
 		}
 	}
 	if err := guard("init", "initial evaluation", func() error {
 		return ev.evaluate(init, nil, nil)
 	}); err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrInitialEval, err)
+		return fmt.Errorf("%w: %w", ErrInitialEval, err)
 	}
 	if o.DisableFission {
 		init.FT = &ftree.Tree{}
@@ -349,8 +359,7 @@ func OptimizeSeeded(ctx context.Context, g *graph.Graph, model *cost.Model, o Op
 	for _, sd := range seeds {
 		l.seed(sd)
 	}
-	l.run(ctx)
-	return res, nil
+	return nil
 }
 
 // newSearch builds the search both OptimizeSeeded and Resume run: the
@@ -629,7 +638,7 @@ func (l *searchLoop) absorb(cand *candidate, out *candOutcome, rc *reachCache) {
 	if l.o.better(cand.state, l.best, 1) {
 		l.best = cand.state
 		res.History = append(res.History,
-			HistoryPoint{time.Since(l.start), l.best.PeakMem, l.best.Latency})
+			HistoryPoint{l.elapsed(), l.best.PeakMem, l.best.Latency})
 	}
 	if l.o.better(cand.state, l.best, pushDelta) {
 		// Only states entering the frontier can ever be expanded, so only
@@ -643,12 +652,13 @@ func (l *searchLoop) absorb(cand *candidate, out *candOutcome, rc *reachCache) {
 }
 
 // recycle returns a rejected candidate's private graphs to the central
-// pool: its evaluation graph (always collapse-fresh) and, for rule
-// candidates, the rewritten logical graph. Contained-panic paths are safe
-// to recycle too: EvalG is only assigned after Collapse returns whole, G
-// is fully built before the candidate exists, and a panic downstream of
-// either (hashing, scheduling, simulation) retains no reference to them —
-// CloneInto resets the shell on reuse regardless.
+// pool: its evaluation graph when collapse made one (an EvalG that is G is
+// not a second shell) and, for rule candidates, the rewritten logical
+// graph. Contained-panic paths are safe to recycle too: EvalG is only
+// assigned after Collapse returns whole, G is fully built before the
+// candidate exists, and a panic downstream of either (hashing, scheduling,
+// simulation) retains no reference to them — CloneInto resets the shell on
+// reuse regardless.
 func (l *searchLoop) recycle(cand *candidate) {
 	if l.gp == nil {
 		return
@@ -656,13 +666,13 @@ func (l *searchLoop) recycle(cand *candidate) {
 	s := cand.state
 	if s.EvalG != nil && s.EvalG != s.G {
 		l.gp.put(s.EvalG)
-		s.EvalG = nil
-		s.wl = nil
 	}
 	if cand.ownsG {
 		l.gp.put(s.G)
 		s.G = nil
 	}
+	s.EvalG = nil
+	s.wl = nil
 }
 
 // ftreeRuleName is the pseudo-rule name F-Tree mutations and rebuilds are

@@ -20,6 +20,8 @@ type State struct {
 	// FT is the fission hierarchy tree over G.
 	FT *ftree.Tree
 	// EvalG is the evaluation graph: G with enabled regions collapsed.
+	// With no enabled region it is G itself, and with regions a private
+	// copy; either way it is read-only once the state is evaluated.
 	EvalG *graph.Graph
 	// Sched is the execution order over EvalG.
 	Sched sched.Schedule
@@ -32,7 +34,7 @@ type State struct {
 	// is expanded (see evaluator.hot).
 	Hot graph.Set
 	// regions maps regionKey -> region node in EvalG (incremental
-	// scheduling anchors).
+	// scheduling anchors); nil when no region is enabled.
 	regions map[string]graph.NodeID
 	// stale marks the F-Tree as needing re-analysis after a graph rewrite.
 	stale bool
