@@ -2,6 +2,7 @@ package opt
 
 import (
 	"context"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -134,5 +135,68 @@ func TestAllocsPerOp(t *testing.T) {
 		if got := testing.AllocsPerRun(5, c.op); got > allocCeiling*c.pinned {
 			t.Errorf("%s: %.0f allocs/op, over %.1f× the pinned %.0f", c.name, got, allocCeiling, c.pinned)
 		}
+	}
+}
+
+// table2Work pins one Table 2 workload's fixed-work search: its plan key,
+// its memory ratio to the unoptimized baseline, its incremental-schedule
+// fallbacks and the rule panics the search contained, by rule.
+type table2Work struct {
+	name      string
+	peak      int64
+	latency   float64
+	hash      uint64
+	memRatio  float64
+	fallbacks int
+	panics    map[string]int
+}
+
+var table2Works = []table2Work{
+	{"ResNet-50", 4146955524, 0.09887035928305378, 0xbac209c834dd9125, 0.5267269193481809, 153, map[string]int{}},
+	{"BERT-base", 6815916036, 0.47647040124689316, 0x170fc7a9323a0ee9, 0.28449692471523175, 73, map[string]int{"FTree": 5}},
+	{"ViT-base", 3391833604, 0.27651505918524966, 0xa391adfabc98229c, 0.3134552873186297, 38, map[string]int{"DeSwap": 3, "FTree": 8, "Swap": 11}},
+	{"UNet", 1283879444, 0.4200419340824263, 0xfb03d2fe8da51811, 0.08149807932491637, 116, map[string]int{}},
+	{"UNet++", 2697305620, 0.5273380036807017, 0xd297bd5cfa667c39, 0.14072191908845438, 172, map[string]int{}},
+	{"GPT-Neo-1.3B", 7802974210, 4.298189927505169, 0xc048c4433421a1a9, 0.17373613733720977, 73, map[string]int{"FTree": 5}},
+	{"BTLM-3B", 14735721474, 8.41401419190162, 0x6249d2fa646c36c3, 0.2006577089010415, 73, map[string]int{"FTree": 5}},
+}
+
+// TestFixedWorkTable2 runs the seven Table 2 workloads at paper scale for
+// 20 expansions on one worker and checks each against its pin exactly. The
+// panic counts are recorded, not endorsed: they are the rewrites that fail
+// on the current code and are contained by the guard, and a change to them
+// is a change to which candidates the search sees.
+func TestFixedWorkTable2(t *testing.T) {
+	ws := models.Table2(1)
+	if len(ws) != len(table2Works) {
+		t.Fatalf("%d Table 2 workloads, %d pins", len(ws), len(table2Works))
+	}
+	for i, w := range ws {
+		t.Run(w.Name, func(t *testing.T) {
+			m := model()
+			base := Baseline(w.G, m)
+			res, err := OptimizeCtx(context.Background(), w.G, m, Options{
+				Mode:          MemoryUnderLatency,
+				LatencyLimit:  base.Latency * 1.10,
+				Workers:       1,
+				MaxIterations: 20,
+				TimeBudget:    -1,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			b := res.Best
+			panics := map[string]int{}
+			for name, rd := range res.Diagnostics.Rules {
+				if rd.Panics > 0 {
+					panics[name] = rd.Panics
+				}
+			}
+			got := table2Work{w.Name, b.PeakMem, b.Latency, b.EvalG.WLHash(),
+				float64(b.PeakMem) / float64(base.PeakMem), res.Stats.SchedFallbacks, panics}
+			if !reflect.DeepEqual(got, table2Works[i]) {
+				t.Errorf("got  %+v\nwant %+v", got, table2Works[i])
+			}
+		})
 	}
 }
