@@ -221,7 +221,7 @@ func main() {
 			n, strings.Join(res.Diagnostics.Quarantined(), ", "))
 	}
 	if gov := res.Governor; gov != nil && gov.Stage > 0 {
-		fmt.Printf("governor: budget %.2f GB, peak %.2f GB — stage %d: %d state(s) evicted, %d knob shrink(s), %d pool flush(es)\n",
+		fmt.Printf("governor: budget %.2f GB, peak %.2f GB — stage %d: %d state(s) evicted, %d knob shrink(s), %d forced GC(s)\n",
 			gb(gov.Budget), gb(gov.PeakBytes), gov.Stage, gov.EvictedStates, gov.Shrinks, gov.Flushes)
 	}
 	if ck := res.Checkpoint; ck != nil {

@@ -12,8 +12,8 @@
 // Node storage is ID-indexed slices rather than maps: IDs are small, dense,
 // and never reused within a lineage, so slice indexing keeps the search's
 // hot loops (clone, topo, hash, reachability) off the allocator. Clone
-// packs all node and edge storage into three arena allocations, and
-// CloneInto recycles a discarded graph's arenas entirely.
+// packs all node and edge storage into two arenas instead of allocating
+// per node.
 package graph
 
 import (
@@ -68,11 +68,6 @@ type Graph struct {
 	suc   [][]NodeID // consumer lists (with multiplicity)
 	n     int        // live node count
 	next  NodeID
-
-	// Clone arenas, retained so CloneInto can recycle their capacity when
-	// this graph is itself reused as a clone destination.
-	nodeArena []Node
-	idArena   []NodeID
 }
 
 // New returns an empty graph.
@@ -540,67 +535,28 @@ func (g *Graph) topoInto(indeg []int32, order, frontier []NodeID) ([]NodeID, []N
 
 // Clone returns a deep copy of the graph. Node IDs are preserved, so
 // schedules and ID sets remain valid across the copy. Op payloads are
-// shared (they are immutable by convention). All node and edge storage is
-// packed into three arena allocations.
+// shared (they are immutable by convention). Besides the two ID-indexed
+// tables, all node and edge storage is packed into two arena allocations.
 func (g *Graph) Clone() *Graph {
-	c := &Graph{}
-	g.cloneInto(c)
-	return c
-}
-
-// CloneInto overwrites dst with a deep copy of g, recycling dst's backing
-// arrays where capacity allows. dst must not share storage with any live
-// graph; the optimizer's candidate pool uses this to recycle discarded
-// search states instead of feeding the allocator.
-func (g *Graph) CloneInto(dst *Graph) {
-	if dst == g {
-		return
-	}
-	g.cloneInto(dst)
-}
-
-// cloneRoom is the fewest free slots cloneInto leaves past the ID range,
-// so the first few Adds on a clone (a rewrite's new nodes, a collapsed
-// region's node) do not regrow its ID tables.
-const cloneRoom = 8
-
-func (g *Graph) cloneInto(c *Graph) {
 	n := len(g.nodes)
-	if cap(c.nodes) < n+cloneRoom {
-		c.nodes = make([]*Node, n, n+n/8+cloneRoom)
-	} else {
-		c.nodes = c.nodes[:n]
+	c := &Graph{
+		nodes: make([]*Node, n, n+n/8+cloneRoom),
+		suc:   make([][]NodeID, n, n+n/8+cloneRoom),
+		n:     g.n,
+		next:  g.next,
 	}
-	if cap(c.suc) < n+cloneRoom {
-		c.suc = make([][]NodeID, n, n+n/8+cloneRoom)
-	} else {
-		c.suc = c.suc[:n]
-	}
-	c.n = g.n
-	c.next = g.next
-	if cap(c.nodeArena) < g.n {
-		c.nodeArena = make([]Node, g.n)
-	} else {
-		c.nodeArena = c.nodeArena[:g.n]
-	}
-	totalIns, totalSuc := 0, 0
+	total := 0
 	for id, node := range g.nodes {
 		if node != nil {
-			totalIns += len(node.Ins)
+			total += len(node.Ins)
 		}
-		totalSuc += len(g.suc[id])
+		total += len(g.suc[id])
 	}
-	if cap(c.idArena) < totalIns+totalSuc {
-		c.idArena = make([]NodeID, totalIns+totalSuc)
-	} else {
-		c.idArena = c.idArena[:totalIns+totalSuc]
-	}
-	arena, ids := c.nodeArena, c.idArena
+	arena := make([]Node, g.n)
+	ids := make([]NodeID, total)
 	ai, off := 0, 0
 	for id, node := range g.nodes {
 		if node == nil {
-			c.nodes[id] = nil
-			c.suc[id] = nil
 			continue
 		}
 		// Three-index sub-slices: a later append on Ins or a suc list
@@ -611,17 +567,20 @@ func (g *Graph) cloneInto(c *Graph) {
 		arena[ai] = Node{ID: node.ID, Op: node.Op, Ins: ins, Name: node.Name}
 		c.nodes[id] = &arena[ai]
 		ai++
-		s := g.suc[id]
-		if len(s) == 0 {
-			c.suc[id] = nil
-			continue
+		if s := g.suc[id]; len(s) > 0 {
+			sc := ids[off : off+len(s) : off+len(s)]
+			copy(sc, s)
+			off += len(s)
+			c.suc[id] = sc
 		}
-		sc := ids[off : off+len(s) : off+len(s)]
-		copy(sc, s)
-		off += len(s)
-		c.suc[id] = sc
 	}
+	return c
 }
+
+// cloneRoom is the fewest free slots Clone leaves past the ID range, so
+// the first few Adds on a clone (a rewrite's new nodes, a collapsed
+// region's node) do not regrow its ID tables.
+const cloneRoom = 8
 
 // String renders a compact multi-line description, topologically ordered.
 func (g *Graph) String() string {

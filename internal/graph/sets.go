@@ -412,9 +412,8 @@ func (g *Graph) Subgraph(s Set) *Graph {
 			}
 		}
 	}
-	sub.nodeArena = make([]Node, len(s))
-	sub.idArena = make([]NodeID, 2*internal)
-	arena, ids := sub.nodeArena, sub.idArena
+	arena := make([]Node, len(s))
+	ids := make([]NodeID, 2*internal)
 	off := 0
 	for i, v := range s {
 		n := g.nodes[v]
@@ -446,12 +445,10 @@ func (g *Graph) Subgraph(s Set) *Graph {
 // ReachIndex precomputes ancestor/descendant bitsets for every node,
 // enabling O(1) narrow-waist queries: nw(v) = |V| - |anc(v)| - |des(v)| -
 // 1 (§6.1). The index is immutable after construction and safe for
-// concurrent reads; Rebase derives a successor index cheaply after a
-// localized rewrite.
+// concurrent reads.
 type ReachIndex struct {
-	n    int     // live node count of the indexed graph
-	pos  []int32 // NodeID -> bit position, -1 when absent
-	nPos int     // total bit positions allocated (>= n after rebases)
+	n   int     // live node count of the indexed graph
+	pos []int32 // NodeID -> bit position (its topological rank), -1 when absent
 
 	anc, des   [][]uint64 // NodeID -> ancestor/descendant bitset rows
 	nAnc, nDes []int32    // NodeID -> popcounts
@@ -465,7 +462,6 @@ func NewReachIndex(g *Graph) *ReachIndex {
 	r := &ReachIndex{
 		n:    g.n,
 		pos:  make([]int32, size),
-		nPos: len(order),
 		anc:  make([][]uint64, size),
 		des:  make([][]uint64, size),
 		nAnc: make([]int32, size),
@@ -508,14 +504,9 @@ func NewReachIndex(g *Graph) *ReachIndex {
 	return r
 }
 
-// orBits ORs src into dst over the shorter of the two lengths (rows from
-// older index generations may be narrower).
+// orBits ORs src into dst; the rows have equal length.
 func orBits(dst, src []uint64) {
-	m := len(src)
-	if len(dst) < m {
-		m = len(dst)
-	}
-	for w := 0; w < m; w++ {
+	for w := range src {
 		dst[w] |= src[w]
 	}
 }
@@ -543,151 +534,13 @@ func (r *ReachIndex) NumDes(v NodeID) int { return int(r.nDes[v]) }
 // IsDes reports whether v is a strict descendant of d, in O(1).
 func (r *ReachIndex) IsDes(d, v NodeID) bool {
 	p := r.pos[v]
-	row := r.des[d]
-	if w := int(p / 64); w < len(row) {
-		return row[w]&(1<<(p%64)) != 0
-	}
-	return false
+	return r.des[d][p/64]&(1<<(p%64)) != 0
 }
 
 // IsAnc reports whether v is a strict ancestor of a, in O(1).
 func (r *ReachIndex) IsAnc(a, v NodeID) bool {
 	p := r.pos[v]
-	row := r.anc[a]
-	if w := int(p / 64); w < len(row) {
-		return row[w]&(1<<(p%64)) != 0
-	}
-	return false
-}
-
-// Rebase derives the reachability index of g from the index of a
-// structurally similar predecessor graph prevG (typically the parent
-// M-State's evaluation graph before a single rewrite). Rows of nodes whose
-// ancestor (resp. descendant) cone is untouched are copied; only nodes
-// downstream (resp. upstream) of the mutation are recomputed. The clean
-// check is self-verifying — it compares node structure directly, so a
-// wrong or incomplete mutation hint can only cost speed, never
-// correctness. Returns nil when the delta is too large to be worth it or
-// the position space has grown too sparse; callers then fall back to
-// NewReachIndex.
-func Rebase(prev *ReachIndex, prevG, g *Graph) *ReachIndex {
-	if prev == nil || prevG == nil {
-		return nil
-	}
-	order, err := g.TopoE()
-	if err != nil {
-		return nil
-	}
-	size := len(g.nodes)
-	// Assign bit positions: survivors keep theirs, new nodes extend.
-	pos := make([]int32, size)
-	for i := range pos {
-		pos[i] = -1
-	}
-	nPos := prev.nPos
-	for _, v := range order {
-		if int(v) < len(prev.pos) && prev.pos[v] >= 0 {
-			pos[v] = prev.pos[v]
-		} else {
-			pos[v] = int32(nPos)
-			nPos++
-		}
-	}
-	// Retired positions of removed nodes widen every row; once the space
-	// is mostly dead weight a fresh build is cheaper.
-	if nPos > 2*g.n+64 {
-		return nil
-	}
-	words := (nPos + 63) / 64
-	r := &ReachIndex{
-		n:    g.n,
-		pos:  pos,
-		nPos: nPos,
-		anc:  make([][]uint64, size),
-		des:  make([][]uint64, size),
-		nAnc: make([]int32, size),
-		nDes: make([]int32, size),
-	}
-	arena := make([]uint64, 2*g.n*words)
-	row := func() []uint64 {
-		w := arena[:words:words]
-		arena = arena[words:]
-		return w
-	}
-	// cleanAnc[v]: v exists in prevG with identical Ins and every producer
-	// clean — then prev's ancestor row is exact in the new graph.
-	cleanAnc := make([]bool, size)
-	dirty := 0
-	for _, v := range order {
-		pn := prevG.Node(v)
-		n := g.nodes[v]
-		ok := pn != nil && idsEqual(pn.Ins, n.Ins)
-		if ok {
-			for _, p := range n.Ins {
-				if !cleanAnc[p] {
-					ok = false
-					break
-				}
-			}
-		}
-		cleanAnc[v] = ok
-		if !ok {
-			dirty++
-		}
-	}
-	// cleanDes[v]: symmetric over consumer lists.
-	cleanDes := make([]bool, size)
-	for i := len(order) - 1; i >= 0; i-- {
-		v := order[i]
-		ok := prevG.Has(v) && idsEqualUnordered(prevG.sucList(v), g.sucList(v))
-		if ok {
-			for _, s := range g.sucList(v) {
-				if !cleanDes[s] {
-					ok = false
-					break
-				}
-			}
-		}
-		cleanDes[v] = ok
-		if !ok {
-			dirty++
-		}
-	}
-	if dirty > g.n {
-		return nil // more than half the rows need recomputing anyway
-	}
-	for _, v := range order {
-		w := row()
-		if cleanAnc[v] {
-			copy(w, prev.anc[v])
-			r.nAnc[v] = prev.nAnc[v]
-		} else {
-			for _, p := range g.nodes[v].Ins {
-				orBits(w, r.anc[p])
-				pi := pos[p]
-				w[pi/64] |= 1 << (pi % 64)
-			}
-			r.nAnc[v] = int32(popcount(w))
-		}
-		r.anc[v] = w
-	}
-	for i := len(order) - 1; i >= 0; i-- {
-		v := order[i]
-		w := row()
-		if cleanDes[v] {
-			copy(w, prev.des[v])
-			r.nDes[v] = prev.nDes[v]
-		} else {
-			for _, s := range g.sucList(v) {
-				orBits(w, r.des[s])
-				si := pos[s]
-				w[si/64] |= 1 << (si % 64)
-			}
-			r.nDes[v] = int32(popcount(w))
-		}
-		r.des[v] = w
-	}
-	return r
+	return r.anc[a][p/64]&(1<<(p%64)) != 0
 }
 
 func idsEqual(a, b []NodeID) bool {
@@ -698,29 +551,6 @@ func idsEqual(a, b []NodeID) bool {
 		if a[i] != b[i] {
 			return false
 		}
-	}
-	return true
-}
-
-// idsEqualUnordered compares two edge lists as multisets. Lists are tiny;
-// the quadratic fallback only runs when the element-wise compare fails.
-func idsEqualUnordered(a, b []NodeID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	if idsEqual(a, b) {
-		return true
-	}
-	used := make([]bool, len(b))
-outer:
-	for _, x := range a {
-		for j, y := range b {
-			if !used[j] && x == y {
-				used[j] = true
-				continue outer
-			}
-		}
-		return false
 	}
 	return true
 }

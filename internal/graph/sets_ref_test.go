@@ -187,10 +187,17 @@ func checkSubgraph(t *testing.T, tag string, got, want *Graph) {
 	for _, v := range want.NodeIDs() {
 		gn, wn := got.Node(v), want.Node(v)
 		if gn.Op != wn.Op || gn.Name != wn.Name || !slices.Equal(gn.Ins, wn.Ins) ||
-			!idsEqualUnordered(got.sucList(v), want.sucList(v)) {
+			!slices.Equal(sortedIDs(got.sucList(v)), sortedIDs(want.sucList(v))) {
 			t.Fatalf("%s: node %d: sub-graph %v <- %v, reference %v <- %v", tag, v, gn.ID, gn.Ins, wn.ID, wn.Ins)
 		}
 	}
+}
+
+// sortedIDs returns an ascending copy of ids.
+func sortedIDs(ids []NodeID) []NodeID {
+	s := slices.Clone(ids)
+	slices.Sort(s)
+	return s
 }
 
 // TestSetOpsMatchReference runs every Table 1 operation, sub-graph

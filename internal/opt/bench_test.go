@@ -33,7 +33,7 @@ func BenchmarkNeighbors(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if cands := neighbors(st, &o, res, quar, nil); len(cands) == 0 {
+		if cands := neighbors(st, &o, res, quar); len(cands) == 0 {
 			b.Fatal("no candidates")
 		}
 	}

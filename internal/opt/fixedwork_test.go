@@ -129,7 +129,7 @@ func TestAllocsPerOp(t *testing.T) {
 		op     func()
 	}{
 		{"Baseline", 268, func() { Baseline(unet, m) }},
-		{"Neighbors", 2006, func() { neighbors(st, &o, res, quar, nil) }},
+		{"Neighbors", 2006, func() { neighbors(st, &o, res, quar) }},
 		{"WLHash", 0, func() { mlp.WLHashScratch(&hs) }},
 	} {
 		if got := testing.AllocsPerRun(5, c.op); got > allocCeiling*c.pinned {

@@ -13,8 +13,8 @@ package opt
 //	         graphs and caches;
 //	stage 2: halve MaxSites and MaxCandidates, shrinking every future
 //	         expansion's fan-out;
-//	stage 3: flush the graph recyclers' free lists and force a GC, so
-//	         the next sample reflects what is actually reachable;
+//	stage 3: force a GC, so the next sample reflects what is actually
+//	         reachable;
 //	stage 4: stop gracefully with StopMemBudget, best-so-far preserved —
 //	         the anytime contract, exactly like TimeBudget.
 //
@@ -44,7 +44,7 @@ type GovernorStatus struct {
 	EvictedStates int `json:"evicted_states"`
 	// Shrinks counts stage-2 knob halvings.
 	Shrinks int `json:"shrinks"`
-	// Flushes counts stage-3 pool flush + forced GC passes.
+	// Flushes counts stage-3 forced GC passes.
 	Flushes int `json:"flushes"`
 	// Stage is the highest ladder stage reached (0 = never over budget).
 	Stage int `json:"stage"`
@@ -114,10 +114,9 @@ func (g *governor) check(l *searchLoop) bool {
 		g.status.Shrinks++
 		d.Note("mem-governor: shrank MaxSites/MaxCandidates")
 	case 3:
-		l.pool.releaseMemory()
 		runtime.GC()
 		g.status.Flushes++
-		d.Note("mem-governor: flushed graph pools and forced GC")
+		d.Note("mem-governor: forced GC")
 	default:
 		d.Note("mem-governor: still over budget, stopping with best-so-far")
 		return true
@@ -128,9 +127,8 @@ func (g *governor) check(l *searchLoop) bool {
 // evictWorstHalf drops the worst-scoring half of the frontier, keeping at
 // least the single best state. Eviction order is the search's own better()
 // with stable ties, so it is deterministic for a deterministic frontier.
-// Evicted states release their retained caches; their graphs are NOT
-// recycled into the pools (they may share structure with live parents) —
-// stage 3 hands the rest to the GC.
+// Evicted states release their retained WL snapshots; stage 3 forces the
+// GC that reclaims them.
 func (l *searchLoop) evictWorstHalf() int {
 	items := l.q.items
 	n := len(items)
@@ -140,7 +138,6 @@ func (l *searchLoop) evictWorstHalf() int {
 	sort.SliceStable(items, func(i, j int) bool { return l.o.better(items[i], items[j], 1) })
 	keep := (n + 1) / 2
 	for _, s := range items[keep:] {
-		s.reachHint = nil
 		s.wl = nil
 	}
 	for i := keep; i < n; i++ {
@@ -149,12 +146,4 @@ func (l *searchLoop) evictWorstHalf() int {
 	l.q.items = items[:keep]
 	heap.Init(l.q)
 	return n - keep
-}
-
-// releaseMemory empties every worker's graph free list so the shells
-// become garbage; the governor calls it right before forcing a GC.
-func (p *evalPool) releaseMemory() {
-	for _, ev := range p.evs {
-		ev.gp.free = nil
-	}
 }

@@ -23,7 +23,7 @@ func govOptions(workers, maxIter int, budget int64, usedSeq []uint64) Options {
 }
 
 // TestGovernorStopsOverBudget: a search held permanently over budget
-// walks the whole shed ladder — evict, shrink, flush — then stops with
+// walks the whole shed ladder — evict, shrink, force a GC — then stops with
 // StopMemBudget and a non-nil best, like any other anytime stop.
 func TestGovernorStopsOverBudget(t *testing.T) {
 	o := govOptions(1, 100, 100, []uint64{200})

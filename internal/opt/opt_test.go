@@ -67,7 +67,7 @@ func TestEvaluateDefersHotspots(t *testing.T) {
 	parent.FT = ftree.Build(parent.G, parent.Hot, ftree.Options{})
 	o := Options{}
 	o.defaults()
-	cands := neighbors(parent, &o, res, newQuarantine(o.QuarantineAfter), nil)
+	cands := neighbors(parent, &o, res, newQuarantine(o.QuarantineAfter))
 	if len(cands) == 0 {
 		t.Fatal("no candidates generated")
 	}

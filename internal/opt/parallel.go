@@ -118,13 +118,6 @@ func (p *evalPool) primary() *evaluator { return p.evs[0] }
 // itself.
 func (p *evalPool) run(ctx context.Context, cands []*candidate, parent *State, rc *reachCache, o *Options, seen map[uint64]bool) []*candOutcome {
 	outs := make([]*candOutcome, len(cands))
-	// Redistribute recycled graph shells from the central pool (worker 0's)
-	// to the worker-local ones while everything is quiescent; each worker
-	// will collapse roughly its share of the candidates.
-	share := len(cands)/len(p.evs) + 1
-	for w := 1; w < len(p.evs) && w < len(cands); w++ {
-		p.evs[0].gp.give(&p.evs[w].gp, share)
-	}
 	var next atomic.Int64
 	next.Store(-1)
 	var wg sync.WaitGroup

@@ -258,7 +258,7 @@ func TestSharedFTreeIsCopyOnWrite(t *testing.T) {
 	o := Options{}
 	o.defaults()
 	quar := newQuarantine(o.QuarantineAfter)
-	cands := neighbors(st, &o, res, quar, nil)
+	cands := neighbors(st, &o, res, quar)
 	if len(cands) == 0 {
 		t.Fatal("no candidates generated")
 	}

@@ -86,9 +86,6 @@ type collapser struct {
 	model *cost.Model
 	sc    *sched.Scheduler
 	ss    *sched.Scratch
-	// gp, when set, recycles discarded graph shells into the evaluation
-	// graph clone (see graphPool).
-	gp *graphPool
 
 	memo   map[string]*RegionOp
 	specID map[*ops.Spec]int32
@@ -249,36 +246,21 @@ func (c *collapser) Collapse(g *graph.Graph, t *ftree.Tree) (*graph.Graph, map[s
 	if len(outer) == 0 {
 		return g, nil, nil
 	}
-	var eg *graph.Graph
-	if c.gp != nil {
-		eg = c.gp.clone(g)
-	} else {
-		eg = g.Clone()
-	}
+	eg := g.Clone()
 	regions := make(map[string]graph.NodeID, len(outer))
 	for _, n := range outer {
 		clear(c.bnd)
 		op, err := c.memoRegionOp(g, n)
 		if err != nil {
-			c.recycle(eg)
 			return nil, nil, err
 		}
 		id, err := eg.Contract(n.T.S, op)
 		if err != nil {
-			c.recycle(eg)
 			return nil, nil, fmt.Errorf("%w: region at %d: %w", ErrCollapse, n.T.S[0], err)
 		}
 		regions[regionKey(n.T.S)] = id
 	}
 	return eg, regions, nil
-}
-
-// recycle returns a failed collapse's half-built clone to the pool; no
-// caller ever sees it.
-func (c *collapser) recycle(eg *graph.Graph) {
-	if c.gp != nil {
-		c.gp.put(eg)
-	}
 }
 
 // memoRegionOp returns the collapsed accounting of an outermost enabled

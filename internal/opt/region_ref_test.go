@@ -341,12 +341,12 @@ func TestCollapseMatchesReference(t *testing.T) {
 			inputs := []*graph.Graph{st.G}
 			o := &Options{}
 			o.defaults()
-			for _, c := range neighbors(st, o, res, newQuarantine(o.QuarantineAfter), nil) {
-				if c.ownsG && len(inputs) < 5 {
+			for _, c := range neighbors(st, o, res, newQuarantine(o.QuarantineAfter)) {
+				if c.state.G != st.G && len(inputs) < 5 {
 					inputs = append(inputs, c.state.G)
 				}
 			}
-			newC := &collapser{model: m, sc: &sched.Scheduler{}, gp: &graphPool{}}
+			newC := &collapser{model: m, sc: &sched.Scheduler{}}
 			refC := &collapser{model: m, sc: &sched.Scheduler{}}
 			var ok, failed, aliased int
 			for i := 0; i < trials; i++ {
@@ -387,8 +387,6 @@ func TestCollapseMatchesReference(t *testing.T) {
 				}
 				if eg == g {
 					aliased++
-				} else {
-					newC.gp.put(eg) // the next clone recycles it
 				}
 			}
 			t.Logf("%d trials: %d collapsed (%d with nothing to collapse), %d failed", trials, ok, aliased, failed)

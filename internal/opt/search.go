@@ -53,8 +53,7 @@ type Options struct {
 	// this search runs (0 disables). Live memory is sampled at expansion
 	// boundaries via runtime/metrics; past the budget the search sheds in
 	// stages — evicting the worst-scoring frontier states, shrinking
-	// MaxSites and MaxCandidates, flushing the graph recyclers and forcing
-	// a GC — and only stops (Result.Stopped = StopMemBudget, best-so-far
+	// MaxSites and MaxCandidates, forcing a GC — and only stops (Result.Stopped = StopMemBudget, best-so-far
 	// preserved exactly like TimeBudget) when still over budget after the
 	// whole ladder. A run whose governor never triggers is bit-identical
 	// to one with MemBudget = 0; see Result.Governor for what happened.
@@ -191,7 +190,7 @@ const (
 	// StopExhausted: MaxIterations queue pops were spent.
 	StopExhausted
 	// StopMemBudget: Options.MemBudget was exceeded and the shed ladder
-	// (frontier eviction, knob shrinking, pool flush + GC) could not get
+	// (frontier eviction, knob shrinking, forced GC) could not get
 	// back under it; the best state found so far is returned.
 	StopMemBudget
 )
@@ -374,7 +373,6 @@ func newSearch(input *graph.Graph, model *cost.Model, o *Options) (*searchLoop, 
 	}); err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrInitialEval, err)
 	}
-	pool := newEvalPool(o.Workers, model, &res.Stats)
 	return &searchLoop{
 		o:     o,
 		res:   res,
@@ -384,13 +382,12 @@ func newSearch(input *graph.Graph, model *cost.Model, o *Options) (*searchLoop, 
 		start: time.Now(),
 		input: input,
 		model: model,
-		pool:  pool,
+		pool:  newEvalPool(o.Workers, model, &res.Stats),
 		ftOpts: ftree.Options{
 			MaxLevel:      o.MaxLevel,
 			MaxCandidates: o.MaxCandidates,
 			NaiveFission:  o.NaiveFission,
 		},
-		gp: &pool.primary().gp,
 	}, nil
 }
 
@@ -457,10 +454,6 @@ type searchLoop struct {
 	model  *cost.Model
 	pool   *evalPool
 	ftOpts ftree.Options
-	// gp is the central graph recycler (the primary evaluator's pool),
-	// owned by the search goroutine: rule clones draw from it and absorb
-	// returns rejected candidates' graphs to it.
-	gp *graphPool
 }
 
 // elapsed is the total search wall-clock across incarnations.
@@ -545,14 +538,11 @@ func (l *searchLoop) run(ctx context.Context) {
 			}
 			s.stale = false
 		}
-		cands := neighbors(s, o, res, l.quar, l.gp)
+		cands := neighbors(s, o, res, l.quar)
 		// One reachability index per parent state, built lazily on the
 		// first incremental reschedule and shared read-only by every
-		// worker of the expansion. Chained through reachHint, the build
-		// rebases the grandparent expansion's index instead of starting
-		// from scratch whenever the delta is small enough.
-		rc := &reachCache{g: s.EvalG, prev: s.reachHint}
-		s.reachHint = nil
+		// worker of the expansion.
+		rc := &reachCache{g: s.EvalG}
 		if o.Workers == 1 || len(cands) == 1 {
 			// Sequential pipeline: process-then-merge one candidate at a
 			// time, so the duplicate pre-filter sees every previously
@@ -564,7 +554,7 @@ func (l *searchLoop) run(ctx context.Context) {
 					res.Stopped = stopReason(err)
 					break
 				}
-				l.absorb(cand, processCandidate(ev, cand, s, o, l.seen), rc)
+				l.absorb(cand, processCandidate(ev, cand, s, o, l.seen))
 			}
 		} else {
 			outs := pool.run(ctx, cands, s, rc, o, l.seen)
@@ -573,7 +563,7 @@ func (l *searchLoop) run(ctx context.Context) {
 					res.Stopped = stopReason(ctx.Err())
 					break
 				}
-				l.absorb(cands[i], out, rc)
+				l.absorb(cands[i], out)
 			}
 		}
 		if res.Stopped != StopConverged {
@@ -596,14 +586,11 @@ func (l *searchLoop) run(ctx context.Context) {
 // advancement, the authoritative duplicate filter (first candidate in
 // generation order wins; later equal-hash candidates count as Filtered
 // even if a worker already evaluated them), best-state selection, history
-// points, and delta-relaxed heap pushes. Rejected candidates' private
-// graphs return to the central recycler here — the only place the search
-// can prove nothing references them anymore.
-func (l *searchLoop) absorb(cand *candidate, out *candOutcome, rc *reachCache) {
+// points, and delta-relaxed heap pushes.
+func (l *searchLoop) absorb(cand *candidate, out *candOutcome) {
 	res, quar := l.res, l.quar
 	if out.hashErr != nil {
 		res.Diagnostics.notePanic(out.hashErr, quar)
-		l.recycle(cand)
 		return
 	}
 	// Hash-filter BEFORE the expensive scheduling + simulation — the
@@ -611,13 +598,11 @@ func (l *searchLoop) absorb(cand *candidate, out *candOutcome, rc *reachCache) {
 	// (on the sequential path) never reach the scheduler.
 	if out.dup || l.seen[out.hash] {
 		res.Stats.Filtered++
-		l.recycle(cand)
 		return
 	}
 	l.seen[out.hash] = true
 	if out.badGraph {
 		res.Diagnostics.noteInvariant(cand.rule, quar)
-		l.recycle(cand)
 		return
 	}
 	if out.evalErr != nil {
@@ -625,12 +610,10 @@ func (l *searchLoop) absorb(cand *candidate, out *candOutcome, rc *reachCache) {
 		// stale region) skip silently, matching the pre-hardening
 		// contract.
 		res.Diagnostics.notePanic(out.evalErr, quar)
-		l.recycle(cand)
 		return
 	}
 	if out.badSched {
 		res.Diagnostics.noteInvariant(cand.rule, quar)
-		l.recycle(cand)
 		return
 	}
 	quar.ok(cand.rule)
@@ -641,38 +624,8 @@ func (l *searchLoop) absorb(cand *candidate, out *candOutcome, rc *reachCache) {
 			HistoryPoint{l.elapsed(), l.best.PeakMem, l.best.Latency})
 	}
 	if l.o.better(cand.state, l.best, pushDelta) {
-		// Only states entering the frontier can ever be expanded, so only
-		// they keep a handle on this expansion's reach cache.
-		cand.state.reachHint = rc
 		heap.Push(l.q, cand.state)
-	} else if cand.state != l.best {
-		// Evaluated but neither frontier nor best: dead on arrival.
-		l.recycle(cand)
 	}
-}
-
-// recycle returns a rejected candidate's private graphs to the central
-// pool: its evaluation graph when collapse made one (an EvalG that is G is
-// not a second shell) and, for rule candidates, the rewritten logical
-// graph. Contained-panic paths are safe to recycle too: EvalG is only
-// assigned after Collapse returns whole, G is fully built before the
-// candidate exists, and a panic downstream of either (hashing, scheduling,
-// simulation) retains no reference to them — CloneInto resets the shell on
-// reuse regardless.
-func (l *searchLoop) recycle(cand *candidate) {
-	if l.gp == nil {
-		return
-	}
-	s := cand.state
-	if s.EvalG != nil && s.EvalG != s.G {
-		l.gp.put(s.EvalG)
-	}
-	if cand.ownsG {
-		l.gp.put(s.G)
-		s.G = nil
-	}
-	s.EvalG = nil
-	s.wl = nil
 }
 
 // ftreeRuleName is the pseudo-rule name F-Tree mutations and rebuilds are
@@ -686,10 +639,6 @@ type candidate struct {
 	// hashing, and evaluation to the transformation that produced it.
 	rule string
 	site string
-	// ownsG marks the state's logical graph as private to this candidate
-	// (a rule-produced rewrite), making it recyclable on rejection. F-Tree
-	// mutation candidates share the parent's graph and never own it.
-	ownsG bool
 }
 
 // neighbors generates new M-States by applying M-Rules: graph rewrite
@@ -697,7 +646,7 @@ type candidate struct {
 // application runs under guard; a panicking rule loses its candidates for
 // this expansion and advances toward quarantine instead of crashing the
 // search.
-func neighbors(s *State, o *Options, res *Result, quar *quarantine, gp *graphPool) []*candidate {
+func neighbors(s *State, o *Options, res *Result, quar *quarantine) []*candidate {
 	st := &res.Stats
 	var out []*candidate
 	t0 := time.Now()
@@ -706,9 +655,6 @@ func neighbors(s *State, o *Options, res *Result, quar *quarantine, gp *graphPoo
 		Cover:        s.FT.EnabledCover(),
 		MaxSites:     o.MaxSites,
 		UseHotFilter: !o.NaiveSchedRules,
-	}
-	if gp != nil {
-		ctx.CloneGraph = gp.clone
 	}
 	for _, r := range o.Rules {
 		name := r.Name()
@@ -736,7 +682,6 @@ func neighbors(s *State, o *Options, res *Result, quar *quarantine, gp *graphPoo
 				oldMutated: mapToEval(s, app.OldMutated),
 				rule:       name,
 				site:       app.Site(),
-				ownsG:      true,
 			})
 			res.Diagnostics.rule(name).Applications++
 			st.Trans++

@@ -42,11 +42,6 @@ type State struct {
 	// hashed and read-only afterwards; children splice into it instead of
 	// re-hashing their whole evaluation graph.
 	wl *graph.WLLabels
-	// reachHint is the parent expansion's reachability cache, letting this
-	// state's own expansion derive its ReachIndex by Rebase instead of a
-	// full rebuild. Cleared after first use to keep ancestor chains from
-	// accumulating.
-	reachHint *reachCache
 }
 
 // Summary renders the state's headline measurements for logs and the
@@ -107,29 +102,14 @@ func (s *Stats) add(o *Stats) {
 // state's eval graph, shared by every worker of an expansion. sync.Once
 // makes the build race-free; the index is immutable after construction, so
 // concurrent NW queries need no further locking.
-//
-// prev, when set, is the grandparent expansion's cache: the build first
-// attempts graph.Rebase from it — recomputing only rows downstream of the
-// rewrite — and falls back to a full NewReachIndex when the delta is too
-// large. prev is cleared after the build so discarded lineages do not pin
-// their whole ancestor chain.
 type reachCache struct {
 	g    *graph.Graph
-	prev *reachCache
 	once sync.Once
 	idx  *graph.ReachIndex
 }
 
 func (rc *reachCache) index() *graph.ReachIndex {
-	rc.once.Do(func() {
-		if p := rc.prev; p != nil && p.idx != nil {
-			rc.idx = graph.Rebase(p.idx, p.g, rc.g)
-		}
-		if rc.idx == nil {
-			rc.idx = graph.NewReachIndex(rc.g)
-		}
-		rc.prev = nil
-	})
+	rc.once.Do(func() { rc.idx = graph.NewReachIndex(rc.g) })
 	return rc.idx
 }
 
@@ -151,11 +131,6 @@ type evaluator struct {
 	// lifetime-simulation hot paths off the allocator.
 	hs graph.HashScratch
 	ss sched.Scratch
-	// gp recycles discarded graph shells into this evaluator's collapse
-	// clones. The primary evaluator's pool doubles as the search's central
-	// recycler (rule clones, absorb-time recycling); worker pools are
-	// refilled from it at expansion boundaries.
-	gp graphPool
 }
 
 func newEvaluator(model *cost.Model, stats *Stats) *evaluator {
@@ -164,7 +139,7 @@ func newEvaluator(model *cost.Model, stats *Stats) *evaluator {
 		sc:    &sched.Scheduler{},
 		stats: stats,
 	}
-	e.col = collapser{model: model, sc: e.sc, ss: &e.ss, gp: &e.gp}
+	e.col = collapser{model: model, sc: e.sc, ss: &e.ss}
 	return e
 }
 

@@ -54,21 +54,6 @@ type Context struct {
 	// UseHotFilter enables the hot-spot site filter; disabling it is the
 	// naive-sch-rule ablation of §7.2.5.
 	UseHotFilter bool
-	// CloneGraph, when set, supplies the transformed-graph shell for each
-	// application from the caller's recycler instead of the allocator. The
-	// returned graph must be a deep copy of its argument with no storage
-	// shared with any live graph; rules own it outright. Nil falls back to
-	// graph.Clone.
-	CloneGraph func(*graph.Graph) *graph.Graph
-}
-
-// clone produces the writable copy an application mutates, routed through
-// CloneGraph when the optimizer supplied a recycler.
-func (c *Context) clone(g *graph.Graph) *graph.Graph {
-	if c != nil && c.CloneGraph != nil {
-		return c.CloneGraph(g)
-	}
-	return g.Clone()
 }
 
 func (c *Context) maxSites() int {
@@ -159,7 +144,7 @@ func (RematRule) Apply(g *graph.Graph, ctx *Context) []Application {
 		if len(out) >= ctx.maxSites() {
 			continue
 		}
-		ng := ctx.clone(g)
+		ng := g.Clone()
 		dup := ng.AddNamed(g.Node(a).Name+"'", g.Node(a).Op, g.Node(a).Ins...)
 		ng.ReplaceInput(b, a, dup)
 		out = append(out, Application{ng, []graph.NodeID{a, b}, "Remat"})
@@ -220,7 +205,7 @@ func composites(g *graph.Graph, ctx *Context, sites [][2]graph.NodeID, rule stri
 			continue
 		}
 		prev = k
-		ng := ctx.clone(g)
+		ng := g.Clone()
 		var mutated []graph.NodeID
 		for _, s := range sorted[:k] {
 			apply(ng, s[0], s[1])
@@ -309,7 +294,7 @@ func applyChains(g *graph.Graph, ctx *Context, sites []chainSite) Application {
 		mutated = append(mutated, s.a, s.b)
 	}
 	union := graph.NewSet(members...)
-	ng := ctx.clone(g)
+	ng := g.Clone()
 	dup := make(map[graph.NodeID]graph.NodeID, len(union))
 	for _, v := range g.TopoWithin(union) {
 		node := g.Node(v)
@@ -413,7 +398,7 @@ func (DeRematRule) Apply(g *graph.Graph, ctx *Context) []Application {
 		if ctx.blocked(keep, dup) {
 			continue
 		}
-		ng := ctx.clone(g)
+		ng := g.Clone()
 		ng.RedirectConsumers(dup, keep)
 		if err := ng.Remove(dup); err != nil {
 			continue
@@ -465,7 +450,7 @@ func (SwapRule) Apply(g *graph.Graph, ctx *Context) []Application {
 		if len(out) >= ctx.maxSites() {
 			continue
 		}
-		ng := ctx.clone(g)
+		ng := g.Clone()
 		sh, dt := n.Op.OutShape(), n.Op.DType()
 		st := ng.Add(ops.NewStore(sh, dt), a)
 		ld := ng.Add(ops.NewLoad(sh, dt), st)
@@ -509,7 +494,7 @@ func (DeSwapRule) Apply(g *graph.Graph, ctx *Context) []Application {
 		if len(src) != 1 || ctx.blocked(ld, st, src[0]) {
 			continue
 		}
-		ng := ctx.clone(g)
+		ng := g.Clone()
 		ng.RedirectConsumers(ld, src[0])
 		if err := ng.Remove(ld); err != nil {
 			continue

@@ -56,7 +56,7 @@ func (MergeMatmulsRule) Apply(g *graph.Graph, ctx *Context) []Application {
 		wa, wb := s1.InShape(1), s2.InShape(1)
 		n1, n2 := wa.Dim(2), wb.Dim(2)
 		dt := s1.DType()
-		ng := ctx.clone(g)
+		ng := g.Clone()
 		wc := ng.Add(ops.NewConcat([]tensor.Shape{wa, wb}, 2, dt), w1, w2)
 		xs := s1.InShape(0)
 		mm := ng.Add(ops.NewMatmul(xs, tensor.S(wa.Dim(1), n1+n2), false, false, dt), x, wc)
@@ -134,7 +134,7 @@ func (SliceConcatElimRule) Apply(g *graph.Graph, ctx *Context) []Application {
 		if ctx.blocked(append([]graph.NodeID{c, src}, n.Ins...)...) {
 			continue
 		}
-		ng := ctx.clone(g)
+		ng := g.Clone()
 		ng.RedirectConsumers(c, src)
 		if err := ng.Remove(c); err != nil {
 			continue
@@ -205,7 +205,7 @@ func (MergeConvsRule) Apply(g *graph.Graph, ctx *Context) []Application {
 		fmt.Sscanf(s1.Attr(), "s%dp%d", &stride, &pad)
 		dt := s1.DType()
 		k1, k2 := w1sh.Dim(1), w2sh.Dim(1)
-		ng := ctx.clone(g)
+		ng := g.Clone()
 		wc := ng.Add(ops.NewConcat([]tensor.Shape{w1sh, w2sh}, 1, dt), w1, w2)
 		big := ng.Add(ops.NewConv2d(s1.InShape(0), ng.Node(wc).Op.OutShape(), stride, pad, dt), x, wc)
 		bigSh := ng.Node(big).Op.OutShape()
@@ -260,7 +260,7 @@ func (AddReassocRule) Apply(g *graph.Graph, ctx *Context) []Application {
 		}
 		spec := tn.Op.(*ops.Spec)
 		sh, dt := spec.OutShape(), spec.DType()
-		ng := ctx.clone(g)
+		ng := g.Clone()
 		right := ng.Add(ops.NewAdd(sh, sh, dt), b, c)
 		rot := ng.Add(ops.NewAdd(sh, sh, dt), a, right)
 		ng.RedirectConsumers(top, rot)
