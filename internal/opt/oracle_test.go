@@ -121,8 +121,9 @@ func RunOracle(cfg OracleConfig) *OracleReport {
 
 // oracleSequence walks one randomized rewrite chain. The search's
 // evaluator carries parent WL snapshots across steps and shares one reach
-// index per expansion exactly like the search loop; the reference evaluator re-derives the
-// hash and the schedule from scratch for comparison.
+// index per expansion exactly like the search loop; the reference
+// evaluator re-derives the hash and the schedule from scratch for
+// comparison.
 func oracleSequence(cfg *OracleConfig, rep *OracleReport, seq int) {
 	rng := rand.New(rand.NewSource(cfg.Seed + int64(seq)))
 	o := &Options{Workers: 1}

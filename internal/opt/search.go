@@ -53,10 +53,11 @@ type Options struct {
 	// this search runs (0 disables). Live memory is sampled at expansion
 	// boundaries via runtime/metrics; past the budget the search sheds in
 	// stages — evicting the worst-scoring frontier states, shrinking
-	// MaxSites and MaxCandidates, forcing a GC — and only stops (Result.Stopped = StopMemBudget, best-so-far
-	// preserved exactly like TimeBudget) when still over budget after the
-	// whole ladder. A run whose governor never triggers is bit-identical
-	// to one with MemBudget = 0; see Result.Governor for what happened.
+	// MaxSites and MaxCandidates, forcing a GC — and only stops
+	// (Result.Stopped = StopMemBudget, best-so-far preserved exactly like
+	// TimeBudget) when still over budget after the whole ladder. A run
+	// whose governor never triggers is bit-identical to one with
+	// MemBudget = 0; see Result.Governor for what happened.
 	MemBudget int64
 	// memUsed overrides the governor's live-memory sampler (tests only).
 	memUsed func() uint64
