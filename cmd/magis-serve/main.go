@@ -19,6 +19,12 @@
 // (each writes a final checkpoint), and the process exits once the workers
 // stop. Restarting with the same -checkpoint-dir re-admits interrupted
 // jobs and resumes them from their snapshots.
+//
+// Limits without a flag keep their defaults: a request's budget is capped
+// at 5m; the admission budget is 2x(queue+jobs)xbudget of estimated
+// service time; the plan cache holds 4096 entries; restart recovery
+// deletes orphaned checkpoints older than 24h and the oldest beyond 64;
+// submitted graphs are bounded by internal/ingest's DefaultLimits.
 package main
 
 import (
@@ -36,7 +42,6 @@ import (
 	"magis/internal/cost"
 	"magis/internal/errfs"
 	"magis/internal/fsatomic"
-	"magis/internal/ingest"
 	"magis/internal/plancache"
 	"magis/internal/serve"
 )
@@ -47,26 +52,20 @@ func main() {
 		queue    = flag.Int("queue", 8, "admission queue depth (a full queue rejects with 429)")
 		jobs     = flag.Int("jobs", 1, "jobs run concurrently")
 		budget   = flag.Duration("budget", 10*time.Second, "default per-job search budget")
-		maxBudg  = flag.Duration("max-budget", 5*time.Minute, "largest budget a request may ask for")
 		ckDir    = flag.String("checkpoint-dir", "", "job checkpoint directory (enables crash-safe jobs and restart recovery)")
 		ckEvery  = flag.Int("checkpoint-every", 0, "checkpoint flush cadence in expansions (0 = default)")
 		stall    = flag.Duration("stall-window", 30*time.Second, "cancel a job with no expansion progress for this long (negative disables)")
 		drainT   = flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for jobs to checkpoint and stop")
 		cacheDir = flag.String("cache-dir", "", "persistent plan cache directory (enables verified-plan reuse, warm starts, and single-flight dedup)")
-		cacheMax = flag.Int("cache-max", 0, "plan cache entry cap before eviction (0 = default)")
-		admitBdg = flag.Duration("admit-budget", 0, "concurrent-cost admission budget in estimated service time (0 = 2x(queue+jobs)xbudget)")
 		brkThr   = flag.Int("breaker-threshold", 0, "consecutive failures that open a workload's circuit breaker (0 = default 3, negative disables)")
 		brkCool  = flag.Duration("breaker-cooloff", 0, "how long an open breaker rejects its workload before a half-open probe (0 = default 30s)")
 		poison   = flag.String("chaos-poison-model", "", "fault injection: every search of this model fails (chaos soak only)")
 		memBudg  = flag.String("mem-budget", "", "soft live-memory budget per search (e.g. 512MiB); over budget a search sheds state and settles best-so-far (empty = off)")
 		stThr    = flag.Int("storage-threshold", 0, "consecutive storage faults before serving degrades to uncached/uncheckpointed (0 = default 3, negative disables)")
 		stCool   = flag.Duration("storage-cooloff", 0, "how long degraded storage waits before a recovery probe (0 = default 30s)")
-		gcAge    = flag.Duration("ckpt-gc-age", 0, "GC orphaned checkpoints older than this at restart (0 = default 24h, negative disables)")
-		gcMax    = flag.Int("ckpt-gc-max", 0, "keep at most this many orphaned checkpoints at restart, oldest GCed first (0 = default 64, negative disables)")
-		stFaults = flag.String("chaos-storage-faults", "", "fault injection: storage fault specs, e.g. enospc@3+2,syncfail~0.1 (chaos only; see internal/errfs)")
-		stSeed   = flag.Int64("chaos-storage-seed", 1, "seed for rate-based storage fault specs")
+		stFaults = flag.String("chaos-storage-faults", "", "fault injection: storage fault specs, e.g. enospc@3+2,syncfail~0.1 (chaos only; rate specs use seed 1; see internal/errfs)")
 		// Hostile-traffic protections: socket deadlines, body bounds,
-		// ingestion limits, and per-client fairness.
+		// and per-client fairness.
 		maxBody   = flag.String("max-body", "", "largest /optimize request body (e.g. 8MiB; empty = default 8MiB)")
 		rhTimeout = flag.Duration("read-header-timeout", cliutil.DefaultHTTPTimeouts().ReadHeader, "evict clients that dribble request headers (0 disables)")
 		rdTimeout = flag.Duration("read-timeout", cliutil.DefaultHTTPTimeouts().Read, "bound reading a full request including the body (0 disables)")
@@ -74,10 +73,8 @@ func main() {
 		idTimeout = flag.Duration("idle-timeout", cliutil.DefaultHTTPTimeouts().Idle, "close idle keep-alive connections after this long (0 disables)")
 		cliRate   = flag.Float64("client-rate", 0, "per-client request rate limit in requests/sec (0 disables)")
 		cliBurst  = flag.Int("client-burst", 0, "per-client rate-limit burst (0 = default 8 when -client-rate is set)")
-		cliShare  = flag.Float64("client-share", 0, "one client's fair-share fraction of -admit-budget, in (0,1] (0 disables)")
+		cliShare  = flag.Float64("client-share", 0, "one client's fair-share fraction of the admission budget (2x(queue+jobs)xbudget), in (0,1] (0 disables)")
 		cliQueue  = flag.Int("client-queue", 0, "per-client cap on queued jobs (0 disables)")
-		maxNodes  = flag.Int("max-graph-nodes", 0, "largest node count a submitted graph may have (0 = ingest default)")
-		maxFanOut = flag.Int("max-graph-fanout", 0, "largest consumer fan-out a submitted graph node may have (0 = ingest default)")
 	)
 	flag.Parse()
 
@@ -111,15 +108,15 @@ func main() {
 		if err != nil {
 			log.Fatalf("-chaos-storage-faults: %v", err)
 		}
-		fsys = errfs.New(nil, *stSeed, rules...)
-		log.Printf("CHAOS: storage faults injected (%s, seed %d)", *stFaults, *stSeed)
+		fsys = errfs.New(nil, 1, rules...)
+		log.Printf("CHAOS: storage faults injected (%s)", *stFaults)
 	}
 
 	model := cost.NewModel(cost.RTX3090())
 	var cache *plancache.Cache
 	if *cacheDir != "" {
 		var err error
-		cache, err = plancache.Open(plancache.Config{Dir: *cacheDir, MaxEntries: *cacheMax, Logf: log.Printf, FS: fsys})
+		cache, err = plancache.Open(plancache.Config{Dir: *cacheDir, Logf: log.Printf, FS: fsys})
 		if err != nil {
 			// A broken cache directory degrades the service to uncached
 			// operation; it must not keep the optimizer down.
@@ -136,12 +133,10 @@ func main() {
 		QueueDepth:       *queue,
 		Workers:          *jobs,
 		DefaultBudget:    *budget,
-		MaxBudget:        *maxBudg,
 		CheckpointDir:    *ckDir,
 		CheckpointEveryN: *ckEvery,
 		StallWindow:      *stall,
 		Cache:            cache,
-		AdmitBudget:      *admitBdg,
 		BreakerThreshold: *brkThr,
 		BreakerCooloff:   *brkCool,
 		FailModel:        *poison,
@@ -149,10 +144,7 @@ func main() {
 		MemBudget:        memBudget,
 		StorageThreshold: *stThr,
 		StorageCooloff:   *stCool,
-		CheckpointGCAge:  *gcAge,
-		CheckpointGCMax:  *gcMax,
 		MaxBody:          maxBodyBytes,
-		Ingest:           ingest.Limits{MaxNodes: *maxNodes, MaxFanOut: *maxFanOut},
 		ClientRate:       *cliRate,
 		ClientBurst:      *cliBurst,
 		ClientShare:      *cliShare,

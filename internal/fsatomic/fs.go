@@ -10,12 +10,15 @@ package fsatomic
 // corrupting state.
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"syscall"
+	"time"
 )
 
 // File is the subset of *os.File the atomic-write protocol needs.
@@ -175,4 +178,74 @@ func SweepTemps(fsys FS, dir string) int {
 		}
 	}
 	return n
+}
+
+// QuarantineDir is the subdirectory of a persistence directory that
+// untrusted files are moved into.
+const QuarantineDir = "quarantine"
+
+// Quarantine moves dir/name into dir/quarantine (created if absent) for
+// an operator to inspect, keeping its name — suffixed .1, .2, ... on
+// collision — and returns the destination. Moving rather than skipping
+// in place keeps every later open from re-reading a file known to be
+// bad. On error the file is where it was; what to do with it is the
+// caller's policy.
+func Quarantine(fsys FS, dir, name string) (string, error) {
+	fsys = Or(fsys)
+	qdir := filepath.Join(dir, QuarantineDir)
+	if err := fsys.MkdirAll(qdir, 0o755); err != nil {
+		return "", err
+	}
+	dst := filepath.Join(qdir, name)
+	for i := 1; ; i++ {
+		if _, err := fsys.Stat(dst); os.IsNotExist(err) {
+			break
+		}
+		dst = filepath.Join(qdir, fmt.Sprintf("%s.%d", name, i))
+	}
+	if err := fsys.Rename(filepath.Join(dir, name), dst); err != nil {
+		return "", err
+	}
+	return dst, nil
+}
+
+// Prune bounds the regular files of dir that match (nil matches all):
+// when maxAge > 0 every one last modified more than maxAge ago is
+// removed, and beyond max (when max > 0) the oldest by (mtime, name) go
+// too. It returns the names it removed and the first removal error; a
+// file it could not remove stays, to be tried again next time.
+func Prune(fsys FS, dir string, match func(name string) bool, max int, maxAge time.Duration) (removed []string, err error) {
+	fsys = Or(fsys)
+	now := time.Now()
+	ents, err := fsys.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	type file struct {
+		name string
+		mod  time.Time
+	}
+	var files []file
+	for _, e := range ents {
+		if e.IsDir() || (match != nil && !match(e.Name())) {
+			continue
+		}
+		if info, ierr := e.Info(); ierr == nil { // else gone since ReadDir
+			files = append(files, file{e.Name(), info.ModTime()})
+		}
+	}
+	slices.SortFunc(files, func(a, b file) int {
+		return cmp.Or(a.mod.Compare(b.mod), strings.Compare(a.name, b.name))
+	})
+	for i, f := range files {
+		if (max <= 0 || i >= len(files)-max) && (maxAge <= 0 || now.Sub(f.mod) <= maxAge) {
+			continue
+		}
+		if rerr := fsys.Remove(filepath.Join(dir, f.name)); rerr != nil {
+			err = cmp.Or(err, rerr)
+		} else {
+			removed = append(removed, f.name)
+		}
+	}
+	return removed, err
 }

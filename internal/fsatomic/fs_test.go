@@ -4,11 +4,15 @@ package fsatomic_test
 // package because errfs itself imports fsatomic.
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
+	"strings"
 	"syscall"
 	"testing"
+	"time"
 
 	"magis/internal/errfs"
 	"magis/internal/fsatomic"
@@ -154,4 +158,122 @@ func TestSealedRoundTripThroughFaultyFS(t *testing.T) {
 	if string(got) != `{"a":1}` {
 		t.Fatalf("payload %q", got)
 	}
+}
+
+// TestQuarantine: a quarantined file keeps its name, suffixed .1, .2, ...
+// on collision, and a failed rename comes back as the error with the
+// file left in place.
+func TestQuarantine(t *testing.T) {
+	dir := t.TempDir()
+	qdir := filepath.Join(dir, fsatomic.QuarantineDir)
+	for i, want := range []string{"bad.plan", "bad.plan.1", "bad.plan.2"} {
+		if err := os.WriteFile(filepath.Join(dir, "bad.plan"), []byte{byte(i)}, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		dst, err := fsatomic.Quarantine(nil, dir, "bad.plan")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dst != filepath.Join(qdir, want) {
+			t.Fatalf("quarantine %d went to %s, want %s", i, dst, want)
+		}
+		if data, err := os.ReadFile(dst); err != nil || data[0] != byte(i) {
+			t.Fatalf("quarantined %s holds %v (%v)", want, data, err)
+		}
+	}
+	if _, err := os.Stat(filepath.Join(dir, "bad.plan")); !os.IsNotExist(err) {
+		t.Fatalf("source survived the move: %v", err)
+	}
+
+	if err := os.WriteFile(filepath.Join(dir, "stuck.ckpt"), []byte("x"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fsys := errfs.New(nil, 0, errfs.Rule{Class: errfs.RenameFail, After: 1})
+	if dst, err := fsatomic.Quarantine(fsys, dir, "stuck.ckpt"); !errors.Is(err, syscall.EIO) || dst != "" {
+		t.Fatalf("faulted quarantine = %q, %v; want the rename's EIO", dst, err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "stuck.ckpt")); err != nil {
+		t.Fatalf("faulted quarantine lost the file: %v", err)
+	}
+}
+
+// TestPrune: files beyond the count go oldest first by (mtime, name),
+// files past the age bound go regardless of the count, directories and
+// unmatched names are never touched, and a file whose removal fails is
+// left and reported as the error.
+func TestPrune(t *testing.T) {
+	now := time.Now()
+	setup := func(t *testing.T) string {
+		t.Helper()
+		dir := t.TempDir()
+		for name, age := range map[string]time.Duration{
+			"a": 5 * time.Hour, "b": 3 * time.Hour, "c": 3 * time.Hour,
+			"d": time.Hour, "e": time.Minute, "skip": 9 * time.Hour,
+		} {
+			p := filepath.Join(dir, name)
+			if err := os.WriteFile(p, []byte(name), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Chtimes(p, now.Add(-age), now.Add(-age)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := os.Mkdir(filepath.Join(dir, "sub"), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		return dir
+	}
+	match := func(name string) bool { return name != "skip" }
+	left := func(t *testing.T, dir string) string {
+		t.Helper()
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, e := range ents {
+			names = append(names, e.Name())
+		}
+		return strings.Join(names, ",")
+	}
+	cases := []struct {
+		name          string
+		max           int
+		maxAge        time.Duration
+		removed, left string
+	}{
+		{"count, ties by name", 2, 0, "a,b,c", "d,e,skip,sub"},
+		{"under the count", 5, 0, "", "a,b,c,d,e,skip,sub"},
+		{"age only", 0, 2 * time.Hour, "a,b,c", "d,e,skip,sub"},
+		{"age then count", 1, 4 * time.Hour, "a,b,c,d", "e,skip,sub"},
+		{"no bound", 0, 0, "", "a,b,c,d,e,skip,sub"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := setup(t)
+			removed, err := fsatomic.Prune(nil, dir, match, tc.max, tc.maxAge)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sort.Strings(removed)
+			if got := strings.Join(removed, ","); got != tc.removed {
+				t.Errorf("removed %q, want %q", got, tc.removed)
+			}
+			if got := left(t, dir); got != tc.left {
+				t.Errorf("left %q, want %q", got, tc.left)
+			}
+		})
+	}
+
+	t.Run("remove fault", func(t *testing.T) {
+		dir := setup(t)
+		fsys := errfs.New(nil, 0, errfs.Rule{Class: errfs.RemoveFail, After: 1})
+		removed, err := fsatomic.Prune(fsys, dir, match, 3, 0)
+		if !errors.Is(err, syscall.EIO) || strings.Join(removed, ",") != "b" {
+			t.Fatalf("Prune = %v, %v; want b removed and the fault's EIO", removed, err)
+		}
+		if got := left(t, dir); got != "a,c,d,e,skip,sub" {
+			t.Fatalf("left %q, want the unremovable oldest kept", got)
+		}
+	})
 }

@@ -180,16 +180,6 @@ func (g *Graph) NodeIDs() []NodeID {
 	return ids
 }
 
-// EachNodeID calls f for every node ID in ascending order, without
-// allocating — the hot-loop alternative to NodeIDs.
-func (g *Graph) EachNodeID(f func(NodeID)) {
-	for id, n := range g.nodes {
-		if n != nil {
-			f(NodeID(id))
-		}
-	}
-}
-
 // Pre returns the distinct predecessors of v, ascending.
 func (g *Graph) Pre(v NodeID) []NodeID {
 	n := g.Node(v)

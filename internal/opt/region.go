@@ -56,9 +56,6 @@ func (r *RegionOp) Latency() float64 { return r.lat }
 
 var _ sim.SelfCosted = (*RegionOp)(nil)
 
-// Parts returns the fission number.
-func (r *RegionOp) Parts() int { return r.n }
-
 // collapser builds evaluation graphs. ss points at the owning evaluator's
 // lifetime scratch (nil falls back to allocating per call), so region
 // accounting shares the evaluator's buffers.

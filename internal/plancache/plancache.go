@@ -31,7 +31,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"os"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -53,8 +52,6 @@ const (
 	Version = 1
 	// suffix is the cache entry filename extension.
 	suffix = ".plan"
-	// quarantineDir is the subdirectory untrusted entries are moved to.
-	quarantineDir = "quarantine"
 )
 
 // ErrRejected marks a Put whose plan failed the verification gate.
@@ -241,7 +238,7 @@ func Open(cfg Config) (*Cache, error) {
 	}
 	c := &Cache{
 		dir:           cfg.Dir,
-		qdir:          filepath.Join(cfg.Dir, quarantineDir),
+		qdir:          filepath.Join(cfg.Dir, fsatomic.QuarantineDir),
 		logf:          cfg.Logf,
 		maxEntries:    cfg.MaxEntries,
 		maxQuarantine: cfg.MaxQuarantine,
@@ -276,7 +273,7 @@ func Open(cfg Config) (*Cache, error) {
 		c.logf("plancache: swept %d orphaned temp file(s)", n)
 	}
 	c.scan()
-	c.sweepQuarantine()
+	c.pruneQuarantine()
 	return c, nil
 }
 
@@ -405,66 +402,27 @@ func (c *Cache) drop(key string) {
 	}
 }
 
-// quarantine moves an untrusted entry file aside and logs why. The file
-// keeps its name (suffixed on collision) so an operator can inspect it.
+// quarantine moves an untrusted entry file aside and logs why; a file
+// that cannot be moved is removed instead. The quarantine is then capped
+// at MaxQuarantine files, oldest first: it exists for operator
+// inspection, not as an archive — under a junk-flood (an attacker or a
+// bad deploy writing corrupt entries in a loop) an unbounded quarantine
+// would fill the disk and take the healthy cache down with it.
 func (c *Cache) quarantine(name string, cause error) {
 	c.quarantined.Add(1)
-	src := filepath.Join(c.dir, name)
-	dst := filepath.Join(c.qdir, name)
-	for i := 1; ; i++ {
-		if _, err := c.fsys.Stat(dst); os.IsNotExist(err) {
-			break
-		}
-		dst = filepath.Join(c.qdir, fmt.Sprintf("%s.%d", name, i))
-	}
-	if err := c.fsys.Rename(src, dst); err != nil {
+	dst, err := fsatomic.Quarantine(c.fsys, c.dir, name)
+	if err != nil {
 		c.logf("plancache: quarantine %s failed (%v); removing (cause: %v)", name, err, cause)
-		c.fsys.Remove(src)
+		c.fsys.Remove(filepath.Join(c.dir, name))
 		return
 	}
 	c.logf("plancache: quarantined %s -> %s: %v", name, dst, cause)
-	c.sweepQuarantine()
+	c.pruneQuarantine()
 }
 
-// sweepQuarantine removes the oldest quarantined files past MaxQuarantine.
-// Quarantine exists for operator inspection, not as an archive — under a
-// junk-flood (an attacker or a bad deploy writing corrupt entries in a
-// loop) an unbounded quarantine would fill the disk and take the healthy
-// cache down with it.
-func (c *Cache) sweepQuarantine() {
-	ents, err := c.fsys.ReadDir(c.qdir)
-	if err != nil {
-		return
-	}
-	type qf struct {
-		name string
-		mod  int64
-	}
-	files := make([]qf, 0, len(ents))
-	for _, e := range ents {
-		if e.IsDir() {
-			continue
-		}
-		mod := int64(0)
-		if info, ierr := e.Info(); ierr == nil {
-			mod = info.ModTime().UnixNano()
-		}
-		files = append(files, qf{e.Name(), mod})
-	}
-	if len(files) <= c.maxQuarantine {
-		return
-	}
-	sort.Slice(files, func(i, j int) bool {
-		if files[i].mod != files[j].mod {
-			return files[i].mod < files[j].mod
-		}
-		return files[i].name < files[j].name
-	})
-	for _, f := range files[:len(files)-c.maxQuarantine] {
-		if err := c.fsys.Remove(filepath.Join(c.qdir, f.name)); err == nil {
-			c.quarantineEvicted.Add(1)
-		}
-	}
+func (c *Cache) pruneQuarantine() {
+	removed, _ := fsatomic.Prune(c.fsys, c.qdir, nil, c.maxQuarantine, 0)
+	c.quarantineEvicted.Add(int64(len(removed)))
 }
 
 // Hit is a successful exact lookup: a verified plan recorded for a

@@ -158,7 +158,7 @@ func (s *Server) admitPlan(j *job, w *models.Workload, fp plancache.Fingerprint,
 	}
 	switch {
 	case err == nil:
-		s.storage.onOK()
+		s.storage.succeed()
 	case errors.Is(err, plancache.ErrStorage):
 		s.noteStorageFault("cache put", err)
 	default:

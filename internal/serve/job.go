@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -394,12 +393,19 @@ func cancelled(msg string) outcome {
 	return outcome{state: stateCancelled, counter: cCancelled, err: msg}
 }
 
+// maxTerminalJobs bounds the settled jobs the job table keeps for
+// GET /jobs/{id}: past it the oldest-settled is dropped and answers 404,
+// as an unknown id does. Queued and running jobs are never dropped. A
+// client must read a settled job before this many more settle.
+const maxTerminalJobs = 4096
+
 // settle is the only way a job becomes terminal. It acts once: a job
 // already terminal is left alone and settle reports false. Otherwise it
 // records the outcome and finish time, drops the request payload the job
-// no longer needs, bumps the outcome's counter, hands the breaker its
-// verdict, and returns the admission cost hold — so every admitted job
-// lands in exactly one terminal counter and gives back everything it held.
+// no longer needs (and, past maxTerminalJobs, the oldest settled job),
+// bumps the outcome's counter, hands the breaker its verdict, and
+// returns the admission cost hold — so every admitted job lands in
+// exactly one terminal counter and gives back everything it held.
 func (s *Server) settle(j *job, o outcome) bool {
 	j.mu.Lock()
 	if j.state != stateQueued && j.state != stateRunning {
@@ -414,6 +420,14 @@ func (s *Server) settle(j *job, o outcome) bool {
 	j.g = nil
 	j.mu.Unlock()
 
+	s.mu.Lock()
+	s.settled = append(s.settled, j.id)
+	if len(s.settled) > maxTerminalJobs {
+		delete(s.jobs, s.settled[0])
+		s.settled = s.settled[1:]
+	}
+	s.mu.Unlock()
+
 	s.met[o.counter].Add(1)
 	if o.summary != nil && o.summary.Degraded {
 		s.met[cDegraded].Add(1)
@@ -421,9 +435,9 @@ func (s *Server) settle(j *job, o outcome) bool {
 	bkey := breakerKey(j.workloadName(), j.req.Scale, j.req.Mode)
 	switch o.verdict {
 	case verdictSuccess:
-		s.brk.onSuccess(bkey)
+		s.brk.succeed(bkey)
 	case verdictFailure:
-		if s.brk.onFailure(bkey, time.Now()) {
+		if s.brk.fail(bkey, time.Now()) {
 			s.met[cBreakerTrips].Add(1)
 			s.cfg.Logf("serve: breaker opened for %s", bkey)
 		}
@@ -432,7 +446,7 @@ func (s *Server) settle(j *job, o outcome) bool {
 		// abandoned non-probe job of the same workload must not release
 		// a slot a different in-flight probe still holds.
 		if j.probe {
-			s.brk.onAbandon(bkey)
+			s.brk.abandon(bkey)
 		}
 	}
 	s.releaseCost(j)
@@ -664,6 +678,12 @@ func (j *job) storageDegraded() bool {
 	return j.degradedStorage
 }
 
+// isCheckpointName reports whether a checkpoint directory entry is a
+// job's checkpoint.
+func isCheckpointName(name string) bool {
+	return strings.HasPrefix(name, "job-") && strings.HasSuffix(name, ".ckpt")
+}
+
 func (s *Server) checkpointPath(id string) string {
 	return filepath.Join(s.cfg.CheckpointDir, id+".ckpt")
 }
@@ -685,90 +705,6 @@ func (s *Server) removeCheckpoint(j *job) {
 	}
 }
 
-// quarantineCheckpoint moves a checkpoint that failed to read back into
-// CheckpointDir/quarantine, keeping its name (suffixed on collision) for
-// the operator to inspect. Moving — rather than skipping in place — keeps
-// every later restart from re-parsing a file that is known bad, and makes
-// "something was corrupted here" visible as a non-empty directory.
-func (s *Server) quarantineCheckpoint(name string, cause error) {
-	qdir := filepath.Join(s.cfg.CheckpointDir, "quarantine")
-	if err := s.fsys.MkdirAll(qdir, 0o755); err != nil {
-		s.cfg.Logf("serve: quarantine dir: %v", err)
-		return
-	}
-	dst := filepath.Join(qdir, name)
-	for i := 1; ; i++ {
-		if _, err := s.fsys.Stat(dst); os.IsNotExist(err) {
-			break
-		}
-		dst = filepath.Join(qdir, fmt.Sprintf("%s.%d", name, i))
-	}
-	if err := s.fsys.Rename(filepath.Join(s.cfg.CheckpointDir, name), dst); err != nil {
-		s.cfg.Logf("serve: quarantining checkpoint %s: %v (cause: %v)", name, err, cause)
-		return
-	}
-	s.met[cCkptQuarantined].Add(1)
-	s.cfg.Logf("serve: quarantined unreadable checkpoint %s -> %s: %v", name, dst, cause)
-}
-
-// gcCheckpoints applies the retention bounds to the orphaned checkpoints
-// found at restart, returning the names that survive. Snapshots older
-// than CheckpointGCAge are stale by definition — nobody resumed them
-// across that many restarts — and beyond CheckpointGCMax the oldest go
-// first, mirroring the plan cache's quarantine cap. GC'd files are
-// deleted, not quarantined: they are healthy-but-abandoned, so there is
-// nothing for an operator to inspect.
-func (s *Server) gcCheckpoints(names []string) []string {
-	if s.cfg.CheckpointGCAge <= 0 && s.cfg.CheckpointGCMax <= 0 {
-		return names
-	}
-	type orphan struct {
-		name string
-		mod  time.Time
-	}
-	var orphans []orphan
-	keep := names[:0]
-	now := time.Now()
-	gc := func(o orphan, why string) {
-		if err := s.fsys.Remove(filepath.Join(s.cfg.CheckpointDir, o.name)); err != nil {
-			s.cfg.Logf("serve: checkpoint gc (%s): %v", why, err)
-			return
-		}
-		s.met[cCkptGCed].Add(1)
-		s.cfg.Logf("serve: gc'd orphaned checkpoint %s (%s)", o.name, why)
-	}
-	for _, name := range names {
-		info, err := s.fsys.Stat(filepath.Join(s.cfg.CheckpointDir, name))
-		if err != nil {
-			keep = append(keep, name) // let recovery decide its fate
-			continue
-		}
-		o := orphan{name: name, mod: info.ModTime()}
-		if s.cfg.CheckpointGCAge > 0 && now.Sub(o.mod) > s.cfg.CheckpointGCAge {
-			gc(o, fmt.Sprintf("older than %v", s.cfg.CheckpointGCAge))
-			continue
-		}
-		orphans = append(orphans, o)
-		keep = append(keep, name)
-	}
-	if max := s.cfg.CheckpointGCMax; max > 0 && len(orphans) > max {
-		sort.Slice(orphans, func(i, j int) bool { return orphans[i].mod.Before(orphans[j].mod) })
-		doomed := make(map[string]bool, len(orphans)-max)
-		for _, o := range orphans[:len(orphans)-max] {
-			gc(o, fmt.Sprintf("over the %d-checkpoint cap", max))
-			doomed[o.name] = true
-		}
-		kept := keep[:0]
-		for _, name := range keep {
-			if !doomed[name] {
-				kept = append(kept, name)
-			}
-		}
-		keep = kept
-	}
-	return keep
-}
-
 // recoverCheckpoints re-admits jobs a previous incarnation left
 // checkpointed (drained or crashed mid-search). Unreadable snapshots are
 // quarantined — moved aside with a log line, never deleted — so recovery
@@ -788,6 +724,16 @@ func (s *Server) recoverCheckpoints() int {
 	if n := fsatomic.SweepTemps(s.fsys, s.cfg.CheckpointDir); n > 0 {
 		s.cfg.Logf("serve: swept %d orphaned temp file(s) from %s", n, s.cfg.CheckpointDir)
 	}
+	// Orphans are deleted, not quarantined: they are healthy but
+	// abandoned, so there is nothing for an operator to inspect.
+	gced, err := fsatomic.Prune(s.fsys, s.cfg.CheckpointDir, isCheckpointName, s.cfg.CheckpointGCMax, checkpointGCAge)
+	if err != nil {
+		s.cfg.Logf("serve: checkpoint gc: %v", err)
+	}
+	if len(gced) > 0 {
+		s.met[cCkptGCed].Add(int64(len(gced)))
+		s.cfg.Logf("serve: gc'd %d orphaned checkpoint(s): %s", len(gced), strings.Join(gced, " "))
+	}
 	entries, err := s.fsys.ReadDir(s.cfg.CheckpointDir)
 	if err != nil {
 		s.cfg.Logf("serve: checkpoint dir: %v", err)
@@ -795,14 +741,10 @@ func (s *Server) recoverCheckpoints() int {
 	}
 	var names []string
 	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasPrefix(name, "job-") || !strings.HasSuffix(name, ".ckpt") {
-			continue
+		if !e.IsDir() && isCheckpointName(e.Name()) {
+			names = append(names, e.Name())
 		}
-		names = append(names, name)
 	}
-	names = s.gcCheckpoints(names)
-	sort.Strings(names)
 
 	n := 0
 	for _, name := range names {
@@ -810,7 +752,14 @@ func (s *Server) recoverCheckpoints() int {
 		path := filepath.Join(s.cfg.CheckpointDir, name)
 		info, err := opt.ReadCheckpointInfo(path)
 		if err != nil {
-			s.quarantineCheckpoint(name, err)
+			// Unlike the plan cache, a checkpoint that cannot be moved
+			// aside stays where it is: it is never deleted.
+			if dst, qerr := fsatomic.Quarantine(s.fsys, s.cfg.CheckpointDir, name); qerr != nil {
+				s.cfg.Logf("serve: quarantining checkpoint %s: %v (cause: %v)", name, qerr, err)
+			} else {
+				s.met[cCkptQuarantined].Add(1)
+				s.cfg.Logf("serve: quarantined unreadable checkpoint %s -> %s: %v", name, dst, err)
+			}
 			continue
 		}
 		s.mu.Lock()

@@ -64,10 +64,8 @@ type Config struct {
 	// search parallelizes internally via its own Workers option).
 	Workers int
 	// DefaultBudget is the search budget when a request omits one
-	// (default 10s); MaxBudget caps what a request may ask for
-	// (default 5m).
+	// (default 10s); no request may ask for more than maxBudget.
 	DefaultBudget time.Duration
-	MaxBudget     time.Duration
 	// CheckpointDir enables crash-safe jobs: each search checkpoints into
 	// <dir>/<job-id>.ckpt, and Start re-admits any checkpoints found there
 	// (jobs interrupted by a previous drain or crash). Empty disables
@@ -122,12 +120,10 @@ type Config struct {
 	// uncheckpointed with a degraded_storage label instead of erroring.
 	StorageThreshold int
 	StorageCooloff   time.Duration
-	// CheckpointGCAge and CheckpointGCMax bound restart recovery's
-	// retention of orphaned checkpoints: snapshots older than the age
-	// (default 24h) or beyond the count cap (default 64, oldest first) are
-	// garbage-collected instead of re-admitted. Negative disables the
-	// respective bound.
-	CheckpointGCAge time.Duration
+	// CheckpointGCMax bounds restart recovery's retention of orphaned
+	// checkpoints: beyond it (default 64; negative disables) the oldest
+	// are garbage-collected instead of re-admitted, as is every snapshot
+	// older than checkpointGCAge.
 	CheckpointGCMax int
 	// MaxBody bounds the /optimize request body in bytes (default 8 MiB).
 	// Oversized bodies reject with 413 before the JSON decoder runs.
@@ -152,6 +148,15 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
+const (
+	// maxBudget caps the search budget a request may ask for.
+	maxBudget = 5 * time.Minute
+	// checkpointGCAge is how old an orphaned checkpoint may grow before
+	// restart recovery deletes it: nobody resumed it across that many
+	// restarts.
+	checkpointGCAge = 24 * time.Hour
+)
+
 func (c Config) withDefaults() Config {
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 8
@@ -161,9 +166,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DefaultBudget <= 0 {
 		c.DefaultBudget = 10 * time.Second
-	}
-	if c.MaxBudget <= 0 {
-		c.MaxBudget = 5 * time.Minute
 	}
 	if c.StallWindow == 0 {
 		c.StallWindow = 30 * time.Second
@@ -188,9 +190,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.StorageCooloff <= 0 {
 		c.StorageCooloff = 30 * time.Second
-	}
-	if c.CheckpointGCAge == 0 {
-		c.CheckpointGCAge = 24 * time.Hour
 	}
 	if c.CheckpointGCMax == 0 {
 		c.CheckpointGCMax = 64
@@ -325,6 +324,8 @@ type Server struct {
 	mu     sync.Mutex
 	jobs   map[string]*job
 	nextID int64
+	// settled lists the settled jobs still in jobs, oldest first.
+	settled []string
 
 	queue    *jobQueue
 	stop     chan struct{}
@@ -339,9 +340,9 @@ type Server struct {
 	costInUse atomic.Int64
 	// brk isolates repeatedly failing workloads (per model|scale|mode).
 	brk *breaker
-	// storage is the persistence health state machine; fsys is the
+	// storage is the persistence health circuit; fsys is the
 	// filesystem all serve-owned persistence goes through.
-	storage *storageHealth
+	storage *storageCircuit
 	fsys    fsatomic.FS
 	// wlStats memoizes per-(model, scale) workload facts for admission
 	// estimates.
@@ -371,8 +372,8 @@ func New(cfg Config) *Server {
 	s.queue = newJobQueue(s.cfg.QueueDepth, s.cfg.ClientQueue)
 	s.clients = newClientLedger(s.cfg)
 	s.stop = make(chan struct{})
-	s.brk = newBreaker(s.cfg.BreakerThreshold, s.cfg.BreakerCooloff)
-	s.storage = newStorageHealth(s.cfg.StorageThreshold, s.cfg.StorageCooloff)
+	s.brk = newBreaker(circuitPolicy{s.cfg.BreakerThreshold, s.cfg.BreakerCooloff})
+	s.storage = &storageCircuit{circuitPolicy: circuitPolicy{s.cfg.StorageThreshold, s.cfg.StorageCooloff}}
 	s.fsys = fsatomic.Or(s.cfg.FS)
 	s.runSearch = s.searchJob
 	return s
@@ -464,7 +465,7 @@ type OptimizeRequest struct {
 	// (default 0.10), memory ratio vs baseline for mode "latency".
 	Limit float64 `json:"limit,omitempty"`
 	// Budget is the search time budget as a Go duration string
-	// (default Config.DefaultBudget, capped at Config.MaxBudget).
+	// (default Config.DefaultBudget, capped at 5m).
 	Budget string `json:"budget,omitempty"`
 	// Deadline is how long the client will wait for the answer, as a Go
 	// duration string measured from admission. The queue is
@@ -553,8 +554,8 @@ func (r *OptimizeRequest) normalize(cfg Config) (time.Duration, time.Duration, e
 		}
 		budget = d
 	}
-	if budget > cfg.MaxBudget {
-		budget = cfg.MaxBudget
+	if budget > maxBudget {
+		budget = maxBudget
 	}
 	var wait time.Duration
 	if r.Deadline != "" {
@@ -669,7 +670,7 @@ func (s *Server) refuse(a *admission, rf *refusal) {
 		s.forget(a.j)
 	}
 	if a.probe {
-		s.brk.onAbandon(a.bkey)
+		s.brk.abandon(a.bkey)
 	}
 	s.met[rf.counter].Add(1)
 	if rf.retryAfter == retryBacklog {

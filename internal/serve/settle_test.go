@@ -11,6 +11,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -332,4 +333,60 @@ func TestSettleReleasesPayload(t *testing.T) {
 	if restored := view(); !bytes.Equal(released, restored) {
 		t.Errorf("job view depends on the released payload:\n%s\n%s", released, restored)
 	}
+}
+
+// TestJobTableBounded: the job table keeps at most maxTerminalJobs
+// settled jobs, dropping the oldest-settled first (a dropped id answers
+// 404 like an unknown one), while every admitted job still lands in
+// exactly one terminal counter.
+func TestJobTableBounded(t *testing.T) {
+	const n = maxTerminalJobs + 50
+	s := New(Config{Model: testModel(), QueueDepth: n, Workers: 2, StallWindow: -1, AdmitBudget: 1000 * time.Hour})
+	s.runSearch = func(ctx context.Context, j *job) (*opt.Result, error) {
+		return tinyResult(opt.StopConverged), nil
+	}
+	s.Start()
+	h := s.Handler()
+	do := func(method, path, body string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader(body)))
+		return rec
+	}
+	for i := 0; i < n; i++ {
+		if rec := do(http.MethodPost, "/optimize", `{"model":"mlp"}`); rec.Code != http.StatusAccepted {
+			t.Fatalf("submit %d: %d %s", i, rec.Code, rec.Body)
+		}
+	}
+	settled := func() int64 {
+		var sum int64
+		for _, c := range terminalCounters {
+			sum += s.met[c].Load()
+		}
+		return sum
+	}
+	waitFor(t, "every job to settle", func() bool { return settled() == n })
+	if got := s.met[cAdmitted].Load(); got != settled() {
+		t.Errorf("admitted %d != settled %d", got, settled())
+	}
+	s.mu.Lock()
+	kept := len(s.jobs)
+	s.mu.Unlock()
+	if kept != maxTerminalJobs {
+		t.Errorf("job table holds %d jobs, want the cap %d", kept, maxTerminalJobs)
+	}
+	// Jobs run in admission order on two workers, so the dropped ids are
+	// the oldest ones: none beyond twice the overflow.
+	var dropped []int
+	for i := 1; i <= n; i++ {
+		if do(http.MethodGet, fmt.Sprintf("/jobs/job-%d", i), "").Code == http.StatusNotFound {
+			dropped = append(dropped, i)
+		}
+	}
+	if len(dropped) != n-maxTerminalJobs || dropped[len(dropped)-1] > 2*(n-maxTerminalJobs) {
+		t.Errorf("dropped ids %v, want the %d oldest", dropped, n-maxTerminalJobs)
+	}
+	if rec := do(http.MethodGet, fmt.Sprintf("/jobs/job-%d", n), ""); rec.Code != http.StatusOK {
+		t.Errorf("newest job: %d, want 200", rec.Code)
+	}
+	drainServer(t, s)
 }

@@ -3,8 +3,8 @@ package serve
 // Storage-degraded serving: the service must outlive its disk. Every
 // persistence surface — plan-cache writes, search checkpoints, restart
 // recovery — runs through an injectable filesystem (internal/fsatomic,
-// faulted in tests by internal/errfs), and a persistence health state
-// machine decides whether jobs may touch it at all:
+// faulted in tests by internal/errfs), and one circuit (circuit.go)
+// decides whether jobs may touch it at all:
 //
 //	healthy   -> degraded    after StorageThreshold consecutive faults
 //	degraded  -> (probe)     after StorageCooloff, one caller probes the
@@ -14,9 +14,7 @@ package serve
 //
 // While degraded, jobs keep running — uncached and uncheckpointed, their
 // results labeled degraded_storage — instead of erroring: a full disk
-// costs durability and cache hits, never answers. The machine mirrors
-// the circuit-breaker idiom (breaker.go): a cooloff window, a single
-// half-open probe, and abandon-safety so the probe slot cannot wedge.
+// costs durability and cache hits, never answers.
 
 import (
 	"errors"
@@ -35,104 +33,64 @@ const (
 	storageRecovered = "recovered"
 )
 
-// storageHealth is the persistence health state machine. All persistence
-// shares one machine (unlike the per-workload breaker): a full disk is
-// full for everyone.
-type storageHealth struct {
-	mu        sync.Mutex
-	threshold int // consecutive faults to degrade; <=0 disables
-	cooloff   time.Duration
-	state     string
-	faults    int       // consecutive faults while not degraded
-	until     time.Time // degraded holds until this instant, then probes
-	probing   bool      // a recovery probe is in flight
-}
-
-func newStorageHealth(threshold int, cooloff time.Duration) *storageHealth {
-	return &storageHealth{threshold: threshold, cooloff: cooloff, state: storageHealthy}
+// storageCircuit is persistence health: one circuit shared by all
+// persistence (unlike the per-workload breaker: a full disk is full for
+// everyone), open while degraded, plus the flag that reports a closed
+// circuit that has recovered once as recovered rather than healthy.
+type storageCircuit struct {
+	mu sync.Mutex
+	circuitPolicy
+	c         circuit
+	recovered bool
 }
 
 // current reports the state name.
-func (h *storageHealth) current() string {
+func (h *storageCircuit) current() string {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.state
+	switch {
+	case h.c.open():
+		return storageDegraded
+	case h.recovered:
+		return storageRecovered
+	}
+	return storageHealthy
 }
 
-// allow reports whether persistence may be used right now. During the
-// degraded window it refuses; once the cooloff elapses it grants exactly
-// one caller the recovery probe (probe=true). That caller must settle
-// the probe with onOK or onFault — like the breaker's half-open slot —
-// or release it with onAbandon.
-func (h *storageHealth) allow(now time.Time) (ok, probe bool) {
-	if h.threshold <= 0 {
-		return true, false
-	}
+// allow reports whether persistence may be used right now; probe=true
+// makes the caller the recovery probe (see circuit.allow).
+func (h *storageCircuit) allow(now time.Time) (ok, probe bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.state != storageDegraded {
-		return true, false
-	}
-	if now.Before(h.until) || h.probing {
-		return false, false
-	}
-	h.probing = true
-	return true, true
+	ok, probe, _ = h.c.allow(h.circuitPolicy, now)
+	return ok, probe
 }
 
-// onOK records a successful storage interaction; it reports true when
+// succeed records a successful storage interaction; it reports true when
 // that success was the recovery probe closing the degraded state.
-func (h *storageHealth) onOK() bool {
-	if h.threshold <= 0 {
-		return false
-	}
+func (h *storageCircuit) succeed() bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.faults = 0
-	if h.state == storageDegraded && h.probing {
-		h.probing = false
-		h.state = storageRecovered
-		return true
-	}
-	return false
-}
-
-// onFault records one storage fault; it reports true when this fault
-// flips persistence to degraded. A fault while degraded (the probe, or a
-// straggler job that was already mid-write) restarts the window.
-func (h *storageHealth) onFault(now time.Time) bool {
-	if h.threshold <= 0 {
+	if !h.c.succeed() {
 		return false
 	}
+	h.recovered = true
+	return true
+}
+
+// fail records one storage fault; it reports true when this fault
+// degrades persistence or fails the recovery probe.
+func (h *storageCircuit) fail(now time.Time) bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.state == storageDegraded {
-		h.probing = false
-		h.until = now.Add(h.cooloff)
-		return false
-	}
-	h.faults++
-	if h.faults >= h.threshold {
-		h.state = storageDegraded
-		h.until = now.Add(h.cooloff)
-		h.probing = false
-		return true
-	}
-	return false
-}
-
-// onAbandon releases a probe slot whose owner settled without a verdict.
-func (h *storageHealth) onAbandon() {
-	h.mu.Lock()
-	h.probing = false
-	h.mu.Unlock()
+	return h.c.fail(h.circuitPolicy, now)
 }
 
 // noteStorageFault counts one persistence fault against the health
 // machine and logs the transition when it degrades.
 func (s *Server) noteStorageFault(op string, err error) {
 	s.met[cStorageFaults].Add(1)
-	if s.storage.onFault(time.Now()) {
+	if s.storage.fail(time.Now()) {
 		s.cfg.Logf("serve: storage degraded after repeated faults (%s: %v); serving uncached and uncheckpointed", op, err)
 	} else {
 		s.cfg.Logf("serve: storage fault (%s): %v", op, err)
@@ -157,7 +115,7 @@ func (s *Server) storageAllowed() bool {
 		s.noteStorageFault("probe", err)
 		return false
 	}
-	if s.storage.onOK() {
+	if s.storage.succeed() {
 		s.met[cStorageRecoveries].Add(1)
 		s.cfg.Logf("serve: storage recovered after successful probe")
 	}
@@ -192,7 +150,7 @@ func (s *Server) noteSearchTelemetry(res *opt.Result) {
 		if ck.Err != "" {
 			s.noteStorageFault("checkpoint", errors.New(ck.Err))
 		} else if ck.Writes > 0 {
-			s.storage.onOK()
+			s.storage.succeed()
 		}
 	}
 	if g := res.Governor; g != nil {

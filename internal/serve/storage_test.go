@@ -18,17 +18,17 @@ import (
 // cooloff, re-degrade on a failed probe, recover on a good one.
 func TestStorageHealthMachine(t *testing.T) {
 	now := time.Now()
-	h := newStorageHealth(2, time.Minute)
+	h := &storageCircuit{circuitPolicy: circuitPolicy{2, time.Minute}}
 	if h.current() != storageHealthy {
 		t.Fatalf("initial state %q", h.current())
 	}
 	if ok, _ := h.allow(now); !ok {
 		t.Fatal("healthy machine refused persistence")
 	}
-	if h.onFault(now) {
+	if h.fail(now) {
 		t.Fatal("degraded below threshold")
 	}
-	if !h.onFault(now) {
+	if !h.fail(now) {
 		t.Fatal("did not degrade at threshold")
 	}
 	if h.current() != storageDegraded {
@@ -46,9 +46,9 @@ func TestStorageHealthMachine(t *testing.T) {
 	if ok, _ := h.allow(late); ok {
 		t.Fatal("second caller got persistence while the probe is out")
 	}
-	// Failed probe: straight back into a fresh window.
-	if h.onFault(late) {
-		t.Fatal("probe failure is a window restart, not a new degradation")
+	// Failed probe: a trip, straight back into a fresh window.
+	if !h.fail(late) {
+		t.Fatal("failed probe did not report a trip")
 	}
 	if ok, _ := h.allow(late.Add(30 * time.Second)); ok {
 		t.Fatal("window did not restart after failed probe")
@@ -58,12 +58,12 @@ func TestStorageHealthMachine(t *testing.T) {
 	if ok, probe := h.allow(later); !ok || !probe {
 		t.Fatalf("probe not re-granted after restart: %v/%v", ok, probe)
 	}
-	h.onAbandon()
+	h.c.abandon()
 	if ok, probe := h.allow(later); !ok || !probe {
 		t.Fatalf("abandoned probe slot not released: %v/%v", ok, probe)
 	}
 	// Successful probe recovers.
-	if !h.onOK() {
+	if !h.succeed() {
 		t.Fatal("successful probe did not report recovery")
 	}
 	if h.current() != storageRecovered {
@@ -73,9 +73,9 @@ func TestStorageHealthMachine(t *testing.T) {
 		t.Fatalf("recovered allow = %v/%v", ok, probe)
 	}
 	// Disabled machine never interferes.
-	off := newStorageHealth(-1, time.Minute)
+	off := &storageCircuit{circuitPolicy: circuitPolicy{-1, time.Minute}}
 	for i := 0; i < 10; i++ {
-		off.onFault(now)
+		off.fail(now)
 	}
 	if ok, _ := off.allow(now); !ok {
 		t.Fatal("disabled machine degraded")
@@ -271,7 +271,6 @@ func TestCheckpointGCOnRestart(t *testing.T) {
 		Model:           testModel(),
 		QueueDepth:      8,
 		CheckpointDir:   dir,
-		CheckpointGCAge: 24 * time.Hour,
 		CheckpointGCMax: 2,
 		StallWindow:     -1,
 		Logf:            t.Logf,
