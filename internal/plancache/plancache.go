@@ -421,6 +421,8 @@ func (c *Cache) quarantine(name string, cause error) {
 }
 
 func (c *Cache) pruneQuarantine() {
+	// Best effort: a file it cannot remove is tried again on the next
+	// quarantine or open.
 	removed, _ := fsatomic.Prune(c.fsys, c.qdir, nil, c.maxQuarantine, 0)
 	c.quarantineEvicted.Add(int64(len(removed)))
 }
